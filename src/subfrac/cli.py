@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -194,9 +195,23 @@ PROBLEM_SCHEMA = {
 _MC_DEFAULTS = {"paths": 100_000, "seed": 20240811, "grid_steps": 256}
 
 
+def _reject_nonfinite(node, where: str = "") -> None:
+    """Python's json accepts NaN and Infinity, and the schema lets them
+    through; name the first field that holds one."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ValueError(f"{where} must be a finite number, got {node}")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_nonfinite(value, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_nonfinite(value, f"{where}[{i}]")
+
+
 def load_problem(doc: dict):
     """Validate the JSON document and materialize the effective config +
     FKProblem.  Unknown keys are rejected by the schema."""
+    _reject_nonfinite(doc)
     jsonschema.validate(doc, PROBLEM_SCHEMA)
     effective = {
         "kernel": dict(doc["kernel"]),

@@ -497,21 +497,12 @@ def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_
             continue
         times = np.concatenate([frac_mid * ti, [ti]])
         dt = np.diff(np.concatenate([[0.0], times]))
-        if isinstance(base, BrownianDrift):
-            z = ndtri(_clip_open(u[i]))
-            pos = x + np.cumsum(base.w * dt + np.sqrt(dt) * z)
-        elif isinstance(base, StableLevy):
-            rng_u = u[i]
-            # two uniforms per increment would double the layout; reuse the
-            # single column through a second substream for the angles
-            raise NotImplementedError(
-                "path-based potentials with stable noise use the dedicated "
-                "branch below"
-            )
-        elif isinstance(base, DossSussmann):
-            z = ndtri(_clip_open(u[i]))
+        z = ndtri(_clip_open(u[i]))
+        if isinstance(base, DossSussmann):
             driver = np.cumsum(np.sqrt(dt) * z) + base.w * times
             pos = flow_map(base.sigma, driver, x)
+        else:
+            pos = x + np.cumsum(base.w * dt + np.sqrt(dt) * z)
         integral = float(np.sum(V(pos[:-1]) * (ti / m)))
         out[i] = problem.u0(pos[-1]) * math.exp(integral)
     return out
@@ -565,9 +556,10 @@ def _rsgp_values(problem: FKProblem, t, x, n_paths, master_seed, base_sub, rsgp_
         cal_a = amp
     scale = cal_a * t**k
     kind = problem.representation
-    u_g = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, n_paths, rsgp_steps, start)
-    z = ndtri(_clip_open(u_g))
     nodes = np.linspace(0.0, t, rsgp_steps + 1)
+    if kind in ("timechanged_bm", "scaled_bm"):
+        u_g = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, n_paths, rsgp_steps, start)
+        z = ndtri(_clip_open(u_g))
     if kind == "timechanged_bm":
         tau = scale[:, None] * (nodes / t) ** k if t > 0 else np.zeros((n_paths, rsgp_steps + 1))
         inc = np.sqrt(np.diff(tau, axis=1)) * z

@@ -1,10 +1,22 @@
 """Random-variate and path generation under a counter-based seed contract.
 
-Streams: every path owns a Philox generator keyed by the 64-bit master
-seed with counter block (0, 0, substream, stream_id).  The draws of path
-``stream_id`` therefore never depend on batch size, worker count or
-scheduling, and the substream index keeps the mixing variable, the
-subordinator and the Gaussian path of one sample mutually independent.
+Streams: every path owns one Philox4x64-10 stream keyed by the 64-bit
+master seed, whose counter block (0, 0, substream, stream_id) advances in
+word 0.  The draws of path ``stream_id`` therefore never depend on batch
+size, worker count or scheduling, and the substream index keeps the
+mixing variable, the subordinator and the Gaussian path of one sample
+mutually independent.
+
+One stream is evaluated two ways, with the same bits:
+
+* ``path_uniforms`` serves every fixed-size layout (k uniforms per path,
+  scalar helpers included as n_paths = 1).  Philox is a pure function of
+  (key, counter), so it computes the blocks of all paths in one vectorized
+  numpy pass instead of building a generator per path.
+* ``path_rng`` wraps the stream in ``np.random.Philox`` for first-passage
+  simulation, where a path draws an open-ended stream chunk by chunk.  On
+  long rows numpy's C generator is several times faster than the numpy
+  engine, and there generator set-up is a small share of the work.
 
 Batch generation consumes a fixed number of uniforms per path and maps
 them through inverse CDFs (scipy.special.ndtri for normals), so scalar
@@ -23,7 +35,6 @@ from scipy.special import ndtri
 from .phi import TimeLawCDF
 
 __all__ = [
-    "SUB_EXTRA",
     "SUB_GAUSSIAN",
     "SUB_MIXING",
     "SUB_SUBORDINATOR",
@@ -56,7 +67,6 @@ __all__ = [
 SUB_MIXING = 0  # the amplitude variable of the time-change law
 SUB_SUBORDINATOR = 1  # one-sided stable / Bernstein subordinator draws
 SUB_GAUSSIAN = 2  # Brownian / fractional Gaussian path noise
-SUB_EXTRA = 3
 
 _TINY = 1e-15
 
@@ -84,22 +94,80 @@ class SeedSpec:
 
 
 def path_rng(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
+    """Generator over one path's stream, for draws of open-ended length."""
     bg = np.random.Philox(
         key=np.uint64(seed.master_seed),
-        counter=[0, 0, np.uint64(substream), np.uint64(seed.stream_id)],
+        # an explicit uint64 array: a list would pass through float64 and
+        # merge neighbouring counters above 2^53
+        counter=np.array([0, 0, substream, seed.stream_id], dtype=np.uint64),
     )
     return np.random.Generator(bg)
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox computes it: the
+# multipliers of counter words 0 and 2, and the Weyl increments of the key.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+_ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None]
+_CHUNK_BLOCKS = 8192  # counter blocks per vectorized pass; bounds the working set
+
+
+def _mulhi(x: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products _PHILOX_M * x, from 32-bit limbs."""
+    x_lo, x_hi = x & _LO32, x >> _S32
+    lh = _M_LO * x_hi
+    cross = ((_M_LO * x_lo) >> _S32) + (lh & _LO32) + _M_HI * x_lo
+    return _M_HI * x_hi + (lh >> _S32) + (cross >> _S32)
+
+
+def _philox4x64(key: int, c0, c1, c2, c3) -> np.ndarray:
+    """Philox4x64-10 of the counters (c0, c1, c2, c3) under key (key, 0):
+    an (N, 4) array of output words, in the order numpy emits them.
+
+    x holds the multiplied words (c0, c2), y the xored words (c1, c3).  With
+    (hi_j, lo_j) the 128-bit product of multiplier j and x_j, one round maps
+    them to x' = (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1) and y' = (lo1, lo0).
+    """
+    x, y = np.stack([c0, c2]), np.stack([c1, c3])
+    with np.errstate(over="ignore"):  # the key schedule and low products wrap
+        keys = np.array([[key], [0]], dtype=np.uint64) + _ROUNDS * _PHILOX_W
+        for k in keys:
+            x, y = _mulhi(x)[::-1] ^ y ^ k, (_PHILOX_M * x)[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1)
 
 
 def path_uniforms(
     master_seed: int, substream: int, n_paths: int, k: int, start: int = 0
 ) -> np.ndarray:
-    """(n_paths, k) uniforms; row i reproduces the first k draws of the
-    per-path generator for stream_id = start + i."""
-    out = np.empty((n_paths, k))
-    for i in range(n_paths):
-        out[i] = path_rng(SeedSpec(master_seed, start + i), substream).random(k)
-    return out
+    """(n_paths, k) uniforms; row i is the first k draws of the stream of
+    stream_id = start + i, bit-identical to ``path_rng(...).random(k)``.
+
+    Block b of a stream has counter (b + 1, 0, substream, stream_id) and
+    yields 4 words; a uniform is (word >> 11) * 2^-53.
+    """
+    n_blocks = -(-k // 4)
+    total = n_paths * n_blocks
+    u = np.empty((total, 4))
+    for g0 in range(0, total, _CHUNK_BLOCKS):
+        g = np.arange(g0, min(total, g0 + _CHUNK_BLOCKS), dtype=np.uint64)
+        path, block = np.divmod(g, np.uint64(n_blocks))
+        words = _philox4x64(
+            master_seed,
+            block + np.uint64(1),
+            np.zeros_like(g),
+            np.full_like(g, substream),
+            path + np.uint64(start),
+        )
+        u[g0 : g0 + g.size] = (words >> np.uint64(11)) * 2.0**-53
+    return np.ascontiguousarray(u.reshape(n_paths, 4 * n_blocks)[:, :k])
+
+
+def _uniforms(seed: SeedSpec, substream: int, k: int) -> np.ndarray:
+    """The first k uniforms of one path's stream."""
+    return path_uniforms(seed.master_seed, substream, 1, k, seed.stream_id)[0]
 
 
 def _clip_open(u: np.ndarray) -> np.ndarray:
@@ -153,7 +221,7 @@ def sample_stable_subordinator(gamma: float, t: float, seed: SeedSpec) -> float:
         raise ValueError("t must be nonnegative")
     if gamma == 1.0:
         return float(t)
-    u = path_rng(seed, SUB_SUBORDINATOR).random(2)
+    u = _uniforms(seed, SUB_SUBORDINATOR, 2)
     return float(t ** (1.0 / gamma) * stable_onesided_from_uniforms(u[0], u[1], gamma))
 
 
@@ -164,7 +232,7 @@ def sample_A_stable_mixing(beta: float, seed: SeedSpec) -> float:
         raise ValueError("beta must lie in (0, 1]")
     if beta == 1.0:
         return 1.0
-    u = path_rng(seed, SUB_MIXING).random(2)
+    u = _uniforms(seed, SUB_MIXING, 2)
     eta = stable_onesided_from_uniforms(u[0], u[1], beta)
     return float(eta ** (-beta))
 
@@ -403,10 +471,10 @@ def sample_time_change(law, t: float, seed: SeedSpec) -> float:
     if t == 0.0:
         return 0.0
     if isinstance(law, HomogeneousProductLaw):
-        u = path_rng(seed, SUB_MIXING).random(law.uniforms_needed)
+        u = _uniforms(seed, SUB_MIXING, law.uniforms_needed)
         return float(law.sample_from_uniforms(t, u))
     if isinstance(law, NumericCDFLaw):
-        u = path_rng(seed, SUB_MIXING).random(1)
+        u = _uniforms(seed, SUB_MIXING, 1)
         return float(law.sample_from_uniforms(t, u))
     if isinstance(law, InverseSubordinatorLaw):
         return float(
@@ -528,14 +596,12 @@ def sample_rsgp_path(
     nodes = grid.nodes
     if kind == "timechanged_bm":
         tau = cal_a * nodes**k
-        rng = path_rng(seed, SUB_GAUSSIAN)
-        z = ndtri(_clip_open(rng.random(grid.n_steps)))
+        z = ndtri(_clip_open(_uniforms(seed, SUB_GAUSSIAN, grid.n_steps)))
         inc = np.sqrt(np.diff(tau)) * z
         return np.concatenate([[0.0], np.cumsum(inc)])
     if kind == "scaled_bm":
         s = nodes**k
-        rng = path_rng(seed, SUB_GAUSSIAN)
-        z = ndtri(_clip_open(rng.random(grid.n_steps)))
+        z = ndtri(_clip_open(_uniforms(seed, SUB_GAUSSIAN, grid.n_steps)))
         inc = np.sqrt(np.diff(s)) * z
         return math.sqrt(cal_a) * np.concatenate([[0.0], np.cumsum(inc)])
     if kind == "scaled_fbm":
@@ -563,18 +629,16 @@ def sample_markov_path(
     nodes = grid.nodes * (horizon / grid.horizon)
     dt = np.diff(nodes)
     kind = type(model).__name__
-    rng = path_rng(seed, SUB_GAUSSIAN)
-    if kind == "BrownianDrift":
-        z = ndtri(_clip_open(rng.random(grid.n_steps)))
-        inc = model.w * dt + np.sqrt(dt) * z
-        return x0 + np.concatenate([[0.0], np.cumsum(inc)])
     if kind == "StableLevy":
-        u = rng.random((grid.n_steps, 2))
+        u = _uniforms(seed, SUB_GAUSSIAN, 2 * grid.n_steps).reshape(grid.n_steps, 2)
         s = stable_symmetric_from_uniforms(u[:, 0], u[:, 1], model.delta)
         inc = 2.0 ** (-0.5) * dt ** (1.0 / model.delta) * s
         return x0 + np.concatenate([[0.0], np.cumsum(inc)])
+    z = ndtri(_clip_open(_uniforms(seed, SUB_GAUSSIAN, grid.n_steps)))
+    if kind == "BrownianDrift":
+        inc = model.w * dt + np.sqrt(dt) * z
+        return x0 + np.concatenate([[0.0], np.cumsum(inc)])
     if kind == "DossSussmann":
-        z = ndtri(_clip_open(rng.random(grid.n_steps)))
         brownian = np.concatenate([[0.0], np.cumsum(np.sqrt(dt) * z)])
         driver = brownian + model.w * nodes
         from .fk import flow_map  # deferred: the solver module owns the flow

@@ -102,6 +102,19 @@ class TestSolveCommand:
         bad.write_text(json.dumps(doc))
         assert main(["solve", "--problem", str(bad)]) == EXIT_SCOPE
 
+    @pytest.mark.parametrize(
+        "point, field",
+        [([1.0, float("nan")], "eval_points[0][1]"), ([float("inf"), 0.0], "eval_points[0][0]")],
+    )
+    def test_nonfinite_number_rejected(self, tmp_path, capsys, point, field):
+        doc = json.loads(PROBLEM.read_text())
+        doc["eval_points"] = [point]
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", "--problem", str(bad)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert field in err and len(err.strip().splitlines()) == 1
+
     def test_time_zero_row_exact(self, tmp_path):
         out = tmp_path / "sol.csv"
         main(["solve", "--problem", str(PROBLEM), "--paths", "2000", "--out", str(out)])

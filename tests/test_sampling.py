@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from subfrac import sampling
 from subfrac.sampling import (
@@ -62,6 +63,63 @@ class TestSeedContract:
         a = path_uniforms(SEED, 0, 5, 4)
         b = path_uniforms(SEED, 1, 5, 4)
         assert not np.allclose(a, b)
+
+
+def reference_rows(seed, substream, n, k, start):
+    """numpy's own Philox generator, one per path (the counter goes in as a
+    uint64 array; a list of ints above 2^63 would be read as float64)."""
+    return [
+        np.random.Generator(
+            np.random.Philox(
+                key=seed,
+                counter=np.array([0, 0, substream, start + i], dtype=np.uint64),
+            )
+        ).random(k)
+        for i in range(n)
+    ]
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+SUBSTREAMS = st.integers(0, 2**64 - 1)
+STARTS = st.integers(0, 2**64 - 2**10)
+
+
+class TestEngineMatchesNumpyPhilox:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=SEEDS,
+        substream=SUBSTREAMS,
+        start=STARTS,
+        n=st.integers(0, 50),
+        k=st.integers(1, 300),
+    )
+    @example(seed=2**63, substream=2, start=0, n=3, k=7)
+    @example(seed=2**64 - 1, substream=0, start=5, n=2, k=257)
+    def test_rows_match_reference(self, seed, substream, start, n, k):
+        got = path_uniforms(seed, substream, n, k, start)
+        assert got.shape == (n, k)
+        for i, ref in enumerate(reference_rows(seed, substream, n, k, start)):
+            assert np.array_equal(got[i], ref)
+            # the lazily drawn first-passage streams are the same streams
+            lazy = sampling.path_rng(SeedSpec(seed, start + i), substream)
+            assert np.array_equal(lazy.random(k), ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=SEEDS,
+        substream=SUBSTREAMS,
+        start=STARTS,
+        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+        k=st.integers(1, 1200),
+    )
+    def test_chunking_invariance(self, seed, substream, start, sizes, k):
+        whole = path_uniforms(seed, substream, sum(sizes), k, start)
+        offsets = np.cumsum([0] + sizes[:-1])
+        parts = [
+            path_uniforms(seed, substream, m, k, start + int(o))
+            for m, o in zip(sizes, offsets)
+        ]
+        assert np.array_equal(whole, np.concatenate(parts))
 
 
 class TestStableSubordinator:
