@@ -31,6 +31,7 @@ from .fk import (
     RsgpScopeError,
     StableLevy,
     ZeroPotential,
+    derive_time_change_law,
     solve,
 )
 from .kernels import InvalidParameters, NormDivergent, QuadratureFailure, make_kernel
@@ -47,11 +48,12 @@ from .sampling import (
     BernsteinSpec,
     GridTooCoarse,
     InvalidHurst,
+    A_stable_mixing_draws,
     PathGrid,
-    SeedSpec,
-    sample_A_stable_mixing,
-    sample_fbm_path,
-    sample_stable_subordinator,
+    fbm_paths_batch,
+    scriptA_draws,
+    stable_subordinator_draws,
+    time_change_draws,
 )
 from .series import TruncationBudgetExceeded
 from .specfun import (
@@ -383,55 +385,34 @@ def cmd_specfun(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    rows: list
+def _scalar_draws(args) -> list[float]:
+    n, seed = args.paths, args.seed
     if args.dist == "stable":
-        header = ["stream_id", "draw"]
-        rows = [
-            [i, sample_stable_subordinator(args.gamma, args.t, SeedSpec(args.seed, i))]
-            for i in range(args.paths)
-        ]
-    elif args.dist == "mixing":
-        header = ["stream_id", "draw"]
-        rows = [
-            [i, sample_A_stable_mixing(args.beta, SeedSpec(args.seed, i))]
-            for i in range(args.paths)
-        ]
-    elif args.dist == "script_a":
-        from .sampling import sample_scriptA
-
-        header = ["stream_id", "draw"]
-        rows = [
-            [
-                i,
-                sample_scriptA(
-                    args.gamma,
-                    lambda s: sample_A_stable_mixing(args.beta, s),
-                    SeedSpec(args.seed, i),
-                ),
-            ]
-            for i in range(args.paths)
-        ]
-    elif args.dist == "time_change":
-        from .fk import derive_time_change_law
-        from .sampling import sample_time_change
-
+        return stable_subordinator_draws(args.gamma, args.t, seed, n)
+    if args.dist == "mixing":
+        return A_stable_mixing_draws(args.beta, seed, n)
+    if args.dist == "script_a":
+        return scriptA_draws(args.gamma, A_stable_mixing_draws(args.beta, seed, n), seed)
+    if args.dist == "time_change":
         kernel = make_kernel(_parse_kernel_arg(args.kernel))
         law = derive_time_change_law(kernel, [args.t])
-        header = ["stream_id", "draw"]
-        rows = [
-            [i, sample_time_change(law, args.t, SeedSpec(args.seed, i))]
-            for i in range(args.paths)
-        ]
-    elif args.dist == "fbm":
+        return time_change_draws(law, args.t, seed, n)
+    raise ValueError(f"unknown distribution {args.dist!r}")
+
+
+def cmd_sample(args) -> int:
+    """All rows come from one batch; row i holds what the matching scalar
+    sample_* helper draws at SeedSpec(seed, i)."""
+    if args.paths < 0:
+        raise ValueError(f"--paths must be nonnegative, got {args.paths}")
+    if args.dist == "fbm":
         grid = PathGrid(horizon=args.t, n_steps=args.grid_steps)
         header = ["stream_id"] + [f"t_{v:.6g}" for v in grid.nodes]
-        rows = [
-            [i] + list(sample_fbm_path(args.hurst, grid, SeedSpec(args.seed, i)))
-            for i in range(args.paths)
-        ]
+        paths = fbm_paths_batch(args.hurst, grid, args.seed, args.paths)
+        rows = [[i] + list(p) for i, p in enumerate(paths)]
     else:
-        raise ValueError(f"unknown distribution {args.dist!r}")
+        header = ["stream_id", "draw"]
+        rows = [[i, v] for i, v in enumerate(_scalar_draws(args))]
     meta = {
         "subfrac_version": __version__,
         "dist": args.dist,
@@ -503,6 +484,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CRITERION
 
 
+_WORKERS_HELP = "chunks of the path range; they run in sequence, and any value gives the same output"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="subfrac",
@@ -549,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -558,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, help="comma-separated criterion ids")
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--tol", type=float, default=None, help="unused; criteria carry their own tolerances")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)

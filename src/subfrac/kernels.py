@@ -378,14 +378,6 @@ class ConvPowerSumKernel(MemoryKernel):
             )
         return out
 
-    def bernstein_exponent(self, sigma):
-        """h(sigma) with 1/h the Laplace transform of the kernel profile."""
-        sigma = np.asarray(sigma, dtype=float)
-        acc = sigma ** (-self.beta)
-        for bj, wj in zip(self.betas, self.bs):
-            acc = acc + wj * sigma ** (-bj)
-        return 1.0 / acc
-
 
 @dataclass(frozen=True)
 class ConvMultinomialMLKernel(MemoryKernel):
@@ -438,13 +430,6 @@ class ConvMultinomialMLKernel(MemoryKernel):
                 conv_profile=self._profile,
             )
         ]
-
-    def bernstein_exponent(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        acc = sigma**self.beta
-        for bj, wj in zip(self.betas, self.bs):
-            acc = acc + wj * sigma**bj
-        return acc
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from scipy.special import roots_legendre
 from .fk import BrownianDrift, GaussianBump
 from .kernels import FractionalPowerKernel, GGBMKernel, MemoryKernel
 from .phi import ClosedFormPhi, TimeLawCDF, has_closed_form
-from .sampling import BernsteinSpec, SeedSpec, path_rng
+from .sampling import BernsteinSpec, GridTooCoarse, _passage_scale, first_passage
 from .specfun import mwright_density
 
 __all__ = [
@@ -291,39 +291,14 @@ def double_laplace_identity(
         lhs = float(np.dot(t_weights, np.exp(-sigma * t_nodes) * mean_w))
         lhs += math.exp(-(sigma + lam) * t_max) / (sigma + lam)  # exact tail
         return DoubleLaplaceReport(sigma, lam, lhs, rhs, (lhs - rhs) / rhs, 0, t_max)
-    from .sampling import _passage_scale
-
-    scale = _passage_scale(h, t_max)
-    dt = scale / steps_per_unit
-    n_cols = 2 * h.n_stable_terms
-    chunk = 4096
-    acc = np.zeros(len(t_nodes))
-    for i in range(mc_paths):
-        rng = path_rng(SeedSpec(master_seed, i), 1)
-        passages = np.full(len(t_nodes), np.nan)
-        level = 0.0
-        s_base = 0.0
-        for _ in range(16):
-            u = rng.random((chunk, n_cols))
-            inc = h.increments_from_uniforms(u, dt)
-            css = level + np.cumsum(inc)
-            pend = np.where(np.isnan(passages))[0]
-            sel = pend[t_nodes[pend] < css[-1]]
-            if sel.size:
-                tr = t_nodes[sel]
-                idx = np.minimum(np.searchsorted(css, tr, side="right"), chunk - 1)
-                eta_prev = np.where(idx > 0, css[np.maximum(idx - 1, 0)], level)
-                eta_next = css[idx]
-                frac = (tr - eta_prev) / np.maximum(eta_next - eta_prev, 1e-300)
-                passages[sel] = s_base + (idx + np.clip(frac, 0.0, 1.0)) * dt
-            if not np.isnan(passages).any():
-                break
-            level = css[-1]
-            s_base += chunk * dt
-        if np.isnan(passages).any():
-            raise RuntimeError("subordinator path did not exceed t_max; raise the budget")
-        acc += np.exp(-lam * passages)
-    mean_w = acc / mc_paths
+    if mc_paths < 1:
+        raise ValueError("mc_paths must be >= 1 for a non-identity exponent")
+    dt = _passage_scale(h, t_max) / steps_per_unit
+    try:
+        passages = first_passage(h, t_nodes, mc_paths, master_seed, dt, chunk=4096, max_chunks=16)
+    except GridTooCoarse:
+        raise RuntimeError("subordinator path did not exceed t_max; raise the budget") from None
+    mean_w = np.sum(np.exp(-lam * passages), axis=0) / mc_paths
     lhs = float(np.dot(t_weights, np.exp(-sigma * t_nodes) * mean_w))
     # exp tail beyond t_max: bounded by tail_bound / sigma, add midpoint value
     lhs += math.exp(-sigma * t_max) / sigma * float(mean_w[-1])

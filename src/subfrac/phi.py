@@ -167,7 +167,6 @@ class SeriesPhi:
         if use_homogeneous and not (kernel.is_homogeneous and self._has_hp()):
             raise ValueError("homogeneous moment route unavailable for this kernel")
         self.homogeneous_route = use_homogeneous
-        self.supports_complex = self.homogeneous_route
         if not self.homogeneous_route:
             self._tables = coefficient_tables(kernel, self.horizon, n_max)
 
@@ -344,8 +343,6 @@ def phi_volterra(
 class VolterraPhi:
     """Deterministic Phi evaluator backed by cached Volterra solves."""
 
-    supports_complex = False
-
     def __init__(self, kernel: MemoryKernel, horizon: float = 2.0,
                  n_steps: int = 1024, grading: float = 2.0):
         self.kernel = kernel
@@ -375,8 +372,6 @@ class VolterraPhi:
 
 class ClosedFormPhi:
     """Closed-form Phi evaluator for the families that have one."""
-
-    supports_complex = False
 
     def __init__(self, kernel: MemoryKernel):
         if not has_closed_form(kernel):

@@ -9,14 +9,15 @@ mutually independent.
 
 One stream is evaluated two ways, with the same bits:
 
-* ``path_uniforms`` serves every fixed-size layout (k uniforms per path,
-  scalar helpers included as n_paths = 1).  Philox is a pure function of
-  (key, counter), so it computes the blocks of all paths in one vectorized
-  numpy pass instead of building a generator per path.
-* ``path_rng`` wraps the stream in ``np.random.Philox`` for first-passage
-  simulation, where a path draws an open-ended stream chunk by chunk.  On
-  long rows numpy's C generator is several times faster than the numpy
-  engine, and there generator set-up is a small share of the work.
+* ``path_uniforms`` serves every fixed-size layout (k uniforms per path;
+  the scalar helpers and their ``*_draws`` batches).  Philox is a pure
+  function of (key, counter), so it computes the blocks of all paths in
+  one vectorized numpy pass instead of building a generator per path.
+* ``path_rng`` wraps the stream in ``np.random.Philox`` and serves only
+  ``first_passage``, where a path draws an open-ended stream block by
+  block.  On long rows numpy's C generator is several times faster than
+  the numpy engine, and there generator set-up is a small share of the
+  work.
 
 Batch generation consumes a fixed number of uniforms per path and maps
 them through inverse CDFs (scipy.special.ndtri for normals), so scalar
@@ -35,6 +36,7 @@ from scipy.special import ndtri
 from .phi import TimeLawCDF
 
 __all__ = [
+    "A_stable_mixing_draws",
     "SUB_GAUSSIAN",
     "SUB_MIXING",
     "SUB_SUBORDINATOR",
@@ -48,6 +50,7 @@ __all__ = [
     "SeedSpec",
     "fbm_paths_batch",
     "draw_subordinated_time",
+    "first_passage",
     "inverse_passage_batch",
     "mixing_from_uniforms",
     "path_rng",
@@ -59,8 +62,11 @@ __all__ = [
     "sample_scriptA",
     "sample_stable_subordinator",
     "sample_time_change",
+    "scriptA_draws",
     "stable_onesided_from_uniforms",
+    "stable_subordinator_draws",
     "stable_symmetric_from_uniforms",
+    "time_change_draws",
 ]
 
 # substream roles within one path
@@ -113,6 +119,8 @@ _S32 = np.uint64(32)
 _M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
 _ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None]
 _CHUNK_BLOCKS = 8192  # counter blocks per vectorized pass; bounds the working set
+_SUB_STEPS = 512  # first-passage steps per lockstep sub-block
+_GROUP_PATHS = 8192 // _SUB_STEPS  # first-passage paths in lockstep; bounds the working set
 
 
 def _mulhi(x: np.ndarray) -> np.ndarray:
@@ -214,27 +222,46 @@ def stable_symmetric_from_uniforms(u1, u2, delta: float):
     )
 
 
-def sample_stable_subordinator(gamma: float, t: float, seed: SeedSpec) -> float:
-    """One draw of the gamma-stable subordinator at time t:
+# The *_draws functions give the scalar helpers' draws for paths start ..
+# start + n_paths - 1 from one pass of the uniform engine.  They transform
+# row by row in numpy-scalar arithmetic, as the helpers do: numpy's vector
+# power rounds differently from the scalar one in the last bit.
+
+def stable_subordinator_draws(
+    gamma: float, t: float, master_seed: int, n_paths: int, start: int = 0
+) -> list[float]:
+    """Draws of the gamma-stable subordinator at time t:
     E[e^{-lam eta_t}] = e^{-t lam^gamma}; gamma = 1 is the identity."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if gamma == 1.0:
-        return float(t)
-    u = _uniforms(seed, SUB_SUBORDINATOR, 2)
-    return float(t ** (1.0 / gamma) * stable_onesided_from_uniforms(u[0], u[1], gamma))
+        return [float(t)] * n_paths
+    u = path_uniforms(master_seed, SUB_SUBORDINATOR, n_paths, 2, start)
+    scale = t ** (1.0 / gamma)
+    return [float(scale * stable_onesided_from_uniforms(a, b, gamma)) for a, b in u]
 
 
-def sample_A_stable_mixing(beta: float, seed: SeedSpec) -> float:
-    """Draw of the nonnegative amplitude with Laplace transform E_beta(-.),
+def sample_stable_subordinator(gamma: float, t: float, seed: SeedSpec) -> float:
+    """One draw of stable_subordinator_draws."""
+    return stable_subordinator_draws(gamma, t, seed.master_seed, 1, seed.stream_id)[0]
+
+
+def A_stable_mixing_draws(
+    beta: float, master_seed: int, n_paths: int, start: int = 0
+) -> list[float]:
+    """Draws of the nonnegative amplitude with Laplace transform E_beta(-.),
     realized as eta^{-beta} for a standard beta-stable draw eta."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     if beta == 1.0:
-        return 1.0
-    u = _uniforms(seed, SUB_MIXING, 2)
-    eta = stable_onesided_from_uniforms(u[0], u[1], beta)
-    return float(eta ** (-beta))
+        return [1.0] * n_paths
+    u = path_uniforms(master_seed, SUB_MIXING, n_paths, 2, start)
+    return [float(stable_onesided_from_uniforms(a, b, beta) ** (-beta)) for a, b in u]
+
+
+def sample_A_stable_mixing(beta: float, seed: SeedSpec) -> float:
+    """One draw of A_stable_mixing_draws."""
+    return A_stable_mixing_draws(beta, seed.master_seed, 1, seed.stream_id)[0]
 
 
 def mixing_from_uniforms(u1, u2, beta: float):
@@ -243,16 +270,23 @@ def mixing_from_uniforms(u1, u2, beta: float):
     return stable_onesided_from_uniforms(u1, u2, beta) ** (-beta)
 
 
+def scriptA_draws(
+    gamma: float, a_draws, master_seed: int, start: int = 0
+) -> list[float]:
+    """Draws of the combined amplitude A^{1/gamma} * eta_1 splitting the
+    randomness of the subordinated time change from its t-dependence,
+    given the draws of A for paths start, start + 1, ..."""
+    if gamma == 1.0:
+        return [float(a) for a in a_draws]
+    eta1 = stable_subordinator_draws(gamma, 1.0, master_seed, len(a_draws), start)
+    return [float(a ** (1.0 / gamma) * e) for a, e in zip(a_draws, eta1)]
+
+
 def sample_scriptA(
     gamma: float, a_sampler: Callable[[SeedSpec], float], seed: SeedSpec
 ) -> float:
-    """Draw of the combined amplitude A^{1/gamma} * eta_1 splitting the
-    randomness of the subordinated time change from its t-dependence."""
-    a = a_sampler(seed)
-    if gamma == 1.0:
-        return float(a)
-    eta1 = sample_stable_subordinator(gamma, 1.0, seed)
-    return float(a ** (1.0 / gamma) * eta1)
+    """One draw of scriptA_draws, with A drawn by a_sampler(seed)."""
+    return scriptA_draws(gamma, [a_sampler(seed)], seed.master_seed, seed.stream_id)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +445,85 @@ def _passage_scale(bern: BernsteinSpec, t: float) -> float:
     return hi
 
 
+def first_passage(
+    bern: BernsteinSpec,
+    levels,
+    n_paths: int,
+    master_seed: int,
+    dt: float,
+    substream: int = SUB_SUBORDINATOR,
+    chunk: int = 8192,
+    max_chunks: int = 64,
+    start: int = 0,
+) -> np.ndarray:
+    """(n_paths, len(levels)) first-passage times of eta^f above each of the
+    ascending ``levels``, with linear bracketing inside the crossing step.
+
+    Path i steps by dt through the stream of stream_id = start + i, at most
+    ``max_chunks`` chunks of ``chunk`` steps; the running sum restarts at
+    each chunk as level + cumsum(increments).  _GROUP_PATHS slots advance in
+    lockstep sub-blocks of _SUB_STEPS steps, and a path gives up its slot to
+    the next once it has crossed its last level.  Sub-blocks continue their
+    chunk's partial sum and the generator fills sequentially, so the times
+    depend on neither slot nor sub-block.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if not np.all(levels >= 0) or np.any(np.diff(levels) < 0):
+        raise ValueError("levels must be nonnegative and ascending")
+    out = np.empty((n_paths, levels.size))
+    n_cols = 2 * bern.n_stable_terms
+    step = math.gcd(chunk, _SUB_STEPS)  # sub-blocks never straddle a chunk
+    # per slot: path (-1: free), first uncrossed level, steps taken, eta and
+    # time at the chunk start, and the sum of the chunk's steps so far
+    path = np.full(_GROUP_PATHS, -1)
+    rngs = [None] * _GROUP_PATHS
+    nxt, steps = np.zeros(_GROUP_PATHS, dtype=int), np.zeros(_GROUP_PATHS, dtype=int)
+    base, partial, s_base = (np.zeros(_GROUP_PATHS) for _ in range(3))
+    queued = 0
+    while True:
+        for q in np.flatnonzero(path < 0)[: n_paths - queued]:
+            path[q], rngs[q] = queued, path_rng(SeedSpec(master_seed, start + queued), substream)
+            nxt[q] = steps[q] = 0
+            base[q] = partial[q] = s_base[q] = 0.0
+            queued += 1
+        live = np.flatnonzero(path >= 0)
+        if not live.size:
+            return out
+        u = np.empty((live.size, step, n_cols))
+        for r, q in enumerate(live):
+            rngs[q].random(out=u[r])
+        inc = bern.increments_from_uniforms(u, dt)
+        cs = np.cumsum(np.concatenate([partial[live, None], inc], axis=1), axis=1)
+        partial[live] = cs[:, -1]
+        css = base[live, None] + cs  # column 0: eta before the sub-block
+        below = np.searchsorted(levels, css)  # levels below each eta
+        hit = below[:, -1]
+        n_hit = hit - nxt[live]
+        if n_hit.any():
+            r = np.repeat(np.arange(live.size), n_hit)
+            k = np.repeat(nxt[live] - np.cumsum(n_hit) + n_hit, n_hit) + np.arange(r.size)
+            lv, q = levels[k], live[r]
+            # searchsorted(css[r], lv, "right"): etas with <= k levels below
+            cells = below + (levels.size + 1) * np.arange(live.size)[:, None]
+            counts = np.bincount(cells.ravel(), minlength=live.size * (levels.size + 1))
+            idx = np.cumsum(counts.reshape(live.size, -1), axis=1)[r, k]
+            eta_prev, eta_next = css[r, idx - 1], css[r, idx]
+            frac = (lv - eta_prev) / np.maximum(eta_next - eta_prev, 1e-300)
+            out[path[q], k] = s_base[q] + (steps[q] % chunk + idx - 1 + frac) * dt
+            nxt[live] = hit
+        steps[live] += step
+        end = live[steps[live] % chunk == 0]
+        base[end] += partial[end]
+        partial[end] = 0.0
+        s_base[end] += chunk * dt
+        path[live[hit == levels.size]] = -1
+        if np.any(steps[path >= 0] == max_chunks * chunk):
+            raise GridTooCoarse(
+                f"no passage above t={levels[-1]:g} within {max_chunks} chunks of "
+                f"{chunk} steps (dt={dt:g})"
+            )
+
+
 def inverse_passage_batch(
     bern: BernsteinSpec,
     t: float,
@@ -421,74 +534,45 @@ def inverse_passage_batch(
     max_chunks: int = 64,
     start: int = 0,
 ) -> np.ndarray:
-    """First-passage times of eta^f above level t for a batch of paths,
-    with linear bracketing inside the crossing step.
+    """First-passage times of eta^f above level t for a batch of paths.
 
     The grid step is fixed by the unit-level passage scale (not by t), so
     one path queried at several levels stays on the same trajectory and
     the passage times are nondecreasing in t.
     """
-    if t == 0.0:
-        return np.zeros(n_paths)
-    if bern.is_identity:
-        return np.full(n_paths, t)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0.0 or bern.is_identity:
+        return np.full(n_paths, float(t))
     dt = _passage_scale(bern, 1.0) / steps_per_unit if steps_per_unit > 0 else 1.0
-    n_cols = 2 * bern.n_stable_terms
-    out = np.empty(n_paths)
-    chunk = 8192
-    # per-path simulation keeps the draw sequence a function of stream_id
-    for i in range(n_paths):
-        rng = path_rng(SeedSpec(master_seed, start + i), substream)
-        level = 0.0
-        s_prev = 0.0
-        found = False
-        for _ in range(max_chunks):
-            u = rng.random((chunk, n_cols))
-            inc = bern.increments_from_uniforms(u, dt)
-            css = level + np.cumsum(inc)
-            idx = np.searchsorted(css, t, side="right")
-            if idx < chunk:
-                eta_prev = css[idx - 1] if idx > 0 else level
-                eta_next = css[idx]
-                frac = (t - eta_prev) / max(eta_next - eta_prev, 1e-300)
-                out[i] = s_prev + (idx + frac) * dt
-                found = True
-                break
-            level = css[-1]
-            s_prev += chunk * dt
-        if not found:
-            raise GridTooCoarse(
-                f"no passage above t={t:g} within {max_chunks} chunks of "
-                f"{chunk} steps (dt={dt:g})"
-            )
-    return out
+    return first_passage(
+        bern, [t], n_paths, master_seed, dt, substream, max_chunks=max_chunks, start=start
+    )[:, 0]
 
 
-def sample_time_change(law, t: float, seed: SeedSpec) -> float:
-    """One draw of the time change A(t); A(0) = 0 almost surely."""
+def time_change_draws(
+    law, t: float, master_seed: int, n_paths: int, start: int = 0
+) -> list[float]:
+    """Draws of the time change A(t); A(0) = 0 almost surely."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
-        return 0.0
-    if isinstance(law, HomogeneousProductLaw):
-        u = _uniforms(seed, SUB_MIXING, law.uniforms_needed)
-        return float(law.sample_from_uniforms(t, u))
-    if isinstance(law, NumericCDFLaw):
-        u = _uniforms(seed, SUB_MIXING, 1)
-        return float(law.sample_from_uniforms(t, u))
+        return [0.0] * n_paths
+    if isinstance(law, (HomogeneousProductLaw, NumericCDFLaw)):
+        k = law.uniforms_needed if isinstance(law, HomogeneousProductLaw) else 1
+        u = path_uniforms(master_seed, SUB_MIXING, n_paths, k, start)
+        return [float(law.sample_from_uniforms(t, row)) for row in u]
     if isinstance(law, InverseSubordinatorLaw):
-        return float(
-            inverse_passage_batch(
-                law.bernstein,
-                t,
-                1,
-                seed.master_seed,
-                steps_per_unit=law.steps_per_unit,
-                max_chunks=law.max_chunks,
-                start=seed.stream_id,
-            )[0]
-        )
+        return inverse_passage_batch(
+            law.bernstein, t, n_paths, master_seed, steps_per_unit=law.steps_per_unit,
+            max_chunks=law.max_chunks, start=start,
+        ).tolist()
     raise TypeError(f"unknown time-change law {type(law).__name__}")
+
+
+def sample_time_change(law, t: float, seed: SeedSpec) -> float:
+    """One draw of time_change_draws."""
+    return time_change_draws(law, t, seed.master_seed, 1, seed.stream_id)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +648,8 @@ def fbm_paths_batch(
             (lag + 1.0) ** (2 * H) + np.abs(lag - 1.0) ** (2 * H)
         ) - lag ** (2.0 * H)
         L = np.linalg.cholesky(cov + 1e-14 * np.eye(n))
-        fgn = z[:, :n] @ L.T
+        # one product per path: a batched product rounds by batch size
+        fgn = np.concatenate([row @ L.T for row in z[:, None, :n]])
     paths[:, 1:] = np.cumsum(fgn, axis=1) * dt**H
     return paths
 

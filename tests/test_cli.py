@@ -10,11 +10,29 @@ from pathlib import Path
 
 import pytest
 
-from subfrac.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, EXIT_SCOPE, load_problem, main
+from subfrac import __version__, sampling
+from subfrac.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_SCHEMA,
+    EXIT_SCOPE,
+    load_problem,
+    main,
+    write_csv,
+)
+from subfrac.fk import derive_time_change_law
+from subfrac.kernels import make_kernel
+from subfrac.sampling import PathGrid, SeedSpec
 
 REPO = Path(__file__).resolve().parents[1]
 PROBLEM = REPO / "demos" / "problems" / "ggbm_heat.json"
 EXPECTED = REPO / "tests" / "data" / "ggbm_heat_expected.csv"
+GGBM_LAW = derive_time_change_law(
+    make_kernel({"family": "ggbm", "alpha": 0.8, "beta": 0.6}), [1.2]
+)
+MSM_LAW = derive_time_change_law(
+    make_kernel({"family": "msm", "a": 1.5, "b": 1.0, "mu": 0.3, "nu": 1.5}), [0.7]
+)
 
 
 def read_rows(path):
@@ -160,6 +178,47 @@ class TestOtherCommands:
         main(["sample", "--dist", "stable", "--gamma", "0.5", "--paths", "5", "--seed", "3", "--out", str(a)])
         main(["sample", "--dist", "stable", "--gamma", "0.5", "--paths", "5", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "dist, args, helper",
+        [
+            ("stable", ["--gamma", "0.37", "--t", "1.3"],
+             lambda i: sampling.sample_stable_subordinator(0.37, 1.3, SeedSpec(5, i))),
+            ("stable", ["--gamma", "1.0"],
+             lambda i: sampling.sample_stable_subordinator(1.0, 1.0, SeedSpec(5, i))),
+            ("mixing", ["--beta", "0.63"],
+             lambda i: sampling.sample_A_stable_mixing(0.63, SeedSpec(5, i))),
+            ("script_a", ["--gamma", "0.55", "--beta", "0.7"],
+             lambda i: sampling.sample_scriptA(
+                 0.55, lambda s: sampling.sample_A_stable_mixing(0.7, s), SeedSpec(5, i))),
+            ("time_change", ["--kernel", "ggbm:0.8,0.6", "--t", "1.2"],
+             lambda i: sampling.sample_time_change(GGBM_LAW, 1.2, SeedSpec(5, i))),
+            ("time_change", ["--kernel", "msm:1.5,1,0.3,1.5", "--t", "0.7"],
+             lambda i: sampling.sample_time_change(MSM_LAW, 0.7, SeedSpec(5, i))),
+            ("fbm", ["--hurst", "0.3", "--grid-steps", "16"],
+             lambda i: list(sampling.sample_fbm_path(0.3, PathGrid(1.0, 16), SeedSpec(5, i)))),
+            ("fbm", ["--hurst", "0.95", "--grid-steps", "16"],
+             lambda i: list(sampling.sample_fbm_path(0.95, PathGrid(1.0, 16), SeedSpec(5, i)))),
+        ],
+    )
+    def test_sample_matches_per_row_helpers(self, tmp_path, dist, args, helper):
+        n = 60
+        out = tmp_path / "batch.csv"
+        argv = ["sample", "--dist", dist, *args, "--paths", str(n), "--seed", "5"]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == EXIT_OK
+        header = out.read_text().splitlines()[4].split(",")
+        meta = {"subfrac_version": __version__, "dist": dist, "seed": 5, "paths": n}
+        rows = []
+        for i in range(n):
+            v = helper(i)
+            rows.append([i] + (v if isinstance(v, list) else [v]))
+        write_csv(str(tmp_path / "rows.csv"), header, rows, meta)
+        assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_sample_negative_paths_rejected(self, capsys):
+        assert main(["sample", "--dist", "mixing", "--paths", "-3"]) == EXIT_SCHEMA
+        assert "--paths must be nonnegative" in capsys.readouterr().err
 
     def test_validate_list(self, capsys):
         rc = main(["validate", "--list"])

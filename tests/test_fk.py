@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from subfrac.fk import (
     BrownianDrift,
@@ -28,9 +29,15 @@ from subfrac.fk import (
     solve_doss_sussmann,
     stretch_solution,
     _draw_time_changes,
+    _pathwise_values,
 )
 from subfrac.kernels import ConvPowerSumKernel, FractionalPowerKernel, GGBMKernel, StretchFn
-from subfrac.sampling import BernsteinSpec
+from subfrac.sampling import (
+    SUB_GAUSSIAN,
+    BernsteinSpec,
+    path_uniforms,
+    stable_symmetric_from_uniforms,
+)
 
 SEED = 31415
 U0 = GaussianBump(0.0, 1.0)
@@ -222,6 +229,72 @@ class TestCallablePotential:
         )
         est = solve(prob, 2000, SEED, grid_steps=32)[0]
         assert 0.0 < est.mean < 1.0
+
+
+def pathwise_reference(problem, x, tau, seed, base_sub, m, flow=None):
+    """The pathwise estimator one path at a time: midpoint quadrature of V
+    along each path, u0 and exp in scalar arithmetic."""
+    base = problem.process.base
+    V = problem.potential.fn
+    stable = isinstance(base, StableLevy)
+    k = (m + 1) * (2 if stable else 1)
+    u = path_uniforms(seed, base_sub + SUB_GAUSSIAN, len(tau), k)
+    frac_mid = (np.arange(m) + 0.5) / m
+    out = np.empty(len(tau))
+    for i, ti in enumerate(tau):
+        if ti == 0.0:
+            out[i] = problem.u0(x)
+            continue
+        times = np.concatenate([frac_mid * ti, [ti]])
+        dt = np.diff(np.concatenate([[0.0], times]))
+        if stable:
+            s = stable_symmetric_from_uniforms(u[i, ::2], u[i, 1::2], base.delta)
+            pos = x + np.cumsum(2.0 ** (-0.5) * dt ** (1.0 / base.delta) * s)
+        elif flow is not None:
+            z = ndtri(np.clip(u[i], 1e-15, 1.0 - 1e-15))
+            pos = flow(np.cumsum(np.sqrt(dt) * z) + base.w * times)
+        else:
+            z = ndtri(np.clip(u[i], 1e-15, 1.0 - 1e-15))
+            pos = x + np.cumsum(base.w * dt + np.sqrt(dt) * z)
+        integral = float(np.sum(V(pos[:-1]) * (ti / m)))
+        out[i] = problem.u0(pos[-1]) * math.exp(integral)
+    return out
+
+
+class TestPathwiseVectorized:
+    """The all-paths pathwise estimator against the per-path reference."""
+
+    TAU = np.array([0.7, 0.0, 1.3, 0.05, 0.0, 2.2, 0.4, 1.0, 0.9, 3.1])
+
+    @pytest.mark.parametrize(
+        "base", [BrownianDrift(0.4), BrownianDrift(-0.3), StableLevy(1.5), StableLevy(0.8)]
+    )
+    @pytest.mark.parametrize("m", [1, 7, 32])
+    def test_bit_identical_to_per_path_loop(self, base, m):
+        prob = ggbm_problem(
+            process=ProcessModel(base=base),
+            potential=CallablePotential(fn=lambda y: -0.5 * np.tanh(y) ** 2, sup_bound=0.0),
+            u0=GaussianBump(0.2, 0.8, 1.5),
+        )
+        tau = np.tile(self.TAU, 30)
+        got = _pathwise_values(prob, 1.0, 0.3, tau, SEED, 8, m)
+        ref = pathwise_reference(prob, 0.3, tau, SEED, 8, m)
+        assert np.array_equal(got, ref)
+        assert np.all(got[tau == 0.0] == prob.u0(0.3))
+
+    def test_doss_sussmann_matches_per_path_flow(self):
+        sigma = lambda z: 1.0 + 0.5 * math.sin(z)
+        prob = ggbm_problem(
+            process=ProcessModel(base=DossSussmann(sigma=sigma, w=0.3)),
+            potential=CallablePotential(fn=lambda y: -0.2 * np.cos(y) ** 2, sup_bound=0.0),
+        )
+        tau = np.tile(self.TAU, 5)
+        got = _pathwise_values(prob, 1.0, 0.1, tau, SEED, 0, 16)
+        ref = pathwise_reference(
+            prob, 0.1, tau, SEED, 0, 16, flow=lambda d: flow_map(sigma, d, 0.1)
+        )
+        assert np.max(np.abs(got - ref)) < 1e-8
+        assert np.all(got[tau == 0.0] == U0(0.1))
 
 
 class TestFlow:

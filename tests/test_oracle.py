@@ -183,3 +183,16 @@ class TestDoubleLaplace:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             double_laplace_identity(BernsteinSpec.identity(), 0.0, 1.0, 10)
+
+    @pytest.mark.parametrize("mc_paths", [0, -3])
+    def test_path_count_positive(self, mc_paths):
+        with pytest.raises(ValueError, match="mc_paths"):
+            double_laplace_identity(BernsteinSpec.stable_power(0.5), 2.0, 0.5, mc_paths)
+
+    def test_budget_exhausted_message(self):
+        with pytest.raises(RuntimeError) as exc:
+            double_laplace_identity(
+                BernsteinSpec.stable_power(0.5), 1.0, 1.0, 3, steps_per_unit=2**20
+            )
+        assert exc.type is RuntimeError
+        assert str(exc.value) == "subordinator path did not exceed t_max; raise the budget"

@@ -12,6 +12,7 @@ from subfrac import sampling
 from subfrac.sampling import (
     SUB_SUBORDINATOR,
     BernsteinSpec,
+    GridTooCoarse,
     HomogeneousProductLaw,
     InvalidHurst,
     InverseSubordinatorLaw,
@@ -19,6 +20,7 @@ from subfrac.sampling import (
     PathGrid,
     SeedSpec,
     fbm_paths_batch,
+    first_passage,
     inverse_passage_batch,
     mixing_from_uniforms,
     path_uniforms,
@@ -208,6 +210,88 @@ class TestTimeChange:
         a = law.sample_from_uniforms(1.0, u)
         dev = mc_dev(np.exp(-a), mittag_leffler(0.5, -1.0))
         assert abs(dev) < 5.0  # inversion bias allowed within the MC band
+
+
+def passage_reference(bern, levels, n_paths, seed, dt, substream, chunk, max_chunks, start):
+    """First passage one path at a time, as whole chunks of ``chunk`` steps
+    from each path's generator with level + cumsum restarted per chunk."""
+    n_cols = 2 * bern.n_stable_terms
+    out = np.full((n_paths, len(levels)), np.nan)
+    for i in range(n_paths):
+        rng = sampling.path_rng(SeedSpec(seed, start + i), substream)
+        level, s_base = 0.0, 0.0
+        for _ in range(max_chunks):
+            inc = bern.increments_from_uniforms(rng.random((chunk, n_cols)), dt)
+            css = level + np.cumsum(inc)
+            for j, t in enumerate(levels):
+                if np.isnan(out[i, j]) and t < css[-1]:
+                    idx = np.searchsorted(css, t, side="right")
+                    eta_prev = css[idx - 1] if idx > 0 else level
+                    frac = (t - eta_prev) / max(css[idx] - eta_prev, 1e-300)
+                    out[i, j] = s_base + (idx + frac) * dt
+            if not np.isnan(out[i]).any():
+                break
+            level = css[-1]
+            s_base += chunk * dt
+    return out
+
+
+MIXED = BernsteinSpec.drift_plus_stable_sum(0.1, [(1.0, 0.6), (0.5, 0.3)])
+
+
+class TestFirstPassage:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=SEEDS,
+        start=st.integers(0, 2**40),
+        n_paths=st.integers(1, 40),
+        n_levels=st.sampled_from([1, 96]),
+        gamma=st.floats(0.3, 0.9),
+        mixed=st.booleans(),
+        chunk=st.sampled_from([512, 768, 1024]),
+    )
+    @example(seed=3, start=5, n_paths=33, n_levels=96, gamma=0.5, mixed=False, chunk=512)
+    @example(seed=2**63, start=0, n_paths=17, n_levels=1, gamma=0.4, mixed=True, chunk=768)
+    def test_matches_per_path_reference(self, seed, start, n_paths, n_levels, gamma, mixed, chunk):
+        bern = MIXED if mixed else BernsteinSpec.stable_power(gamma)
+        levels = np.linspace(0.05, 1.5, n_levels) if n_levels > 1 else np.array([0.8])
+        dt = sampling._passage_scale(bern, 1.0) / 512
+        args = (bern, levels, n_paths, seed, dt, 6)
+        got = first_passage(*args, chunk=chunk, max_chunks=64, start=start)
+        ref = passage_reference(*args, chunk, 64, start)
+        assert np.array_equal(got, ref)
+
+    def test_crossings_after_several_chunks(self):
+        bern = BernsteinSpec.stable_power(0.5)
+        levels = np.linspace(0.5, 4.0, 8)
+        dt = sampling._passage_scale(bern, 1.0) / 512
+        got = first_passage(bern, levels, 21, SEED, dt, chunk=1024, start=9)
+        ref = passage_reference(bern, levels, 21, SEED, dt, SUB_SUBORDINATOR, 1024, 64, 9)
+        assert np.array_equal(got, ref)
+        # many crossings in the second chunk, some in the third or later
+        assert np.sum(got > 1024 * dt) > 20 and np.any(got > 2 * 1024 * dt)
+
+    def test_single_level_is_inverse_passage_batch(self):
+        bern = BernsteinSpec.stable_power(0.6)
+        e = inverse_passage_batch(bern, 1.2, 20, SEED, substream=3, steps_per_unit=2**10, start=4)
+        dt = sampling._passage_scale(bern, 1.0) / 2**10
+        ref = passage_reference(bern, [1.2], 20, SEED, dt, 3, 8192, 64, 4)[:, 0]
+        assert np.array_equal(e, ref)
+
+    def test_grid_too_coarse_message(self):
+        with pytest.raises(
+            GridTooCoarse, match=r"^no passage above t=1 within 2 chunks of 8192 steps \(dt="
+        ):
+            inverse_passage_batch(
+                BernsteinSpec.stable_power(0.5), 1.0, 3, SEED, steps_per_unit=2**30, max_chunks=2
+            )
+
+    def test_bad_levels_rejected(self):
+        bern = BernsteinSpec.stable_power(0.5)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            inverse_passage_batch(bern, -1.0, 3, 1)
+        with pytest.raises(ValueError, match="ascending"):
+            first_passage(bern, [1.0, 0.5], 3, 1, 1e-3)
 
 
 class TestScriptA:
