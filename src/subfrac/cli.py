@@ -114,11 +114,6 @@ PROBLEM_SCHEMA = {
                 "bs": {"type": "array", "items": {"type": "number"}},
             },
         },
-        "law": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"form": {"enum": ["auto"]}},
-        },
         "process": {
             "type": "object",
             "additionalProperties": False,
@@ -309,9 +304,17 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def _parse_kernel_arg(spec: str) -> dict:
-    """family:comma-separated-params, e.g. ggbm:0.8,0.6 or msm:2,1,0.5,2."""
+    """family:comma-separated-params, e.g. ggbm:0.8,0.6, msm:2,1,0.5,2 or
+    conv_multinomial_ml:beta,beta1,b1[,beta2,b2...]."""
     fam, _, rest = spec.partition(":")
     vals = [float(v) for v in rest.split(",")] if rest else []
+    if fam == "conv_multinomial_ml":
+        if len(vals) < 3 or len(vals) % 2 == 0:
+            raise ValueError(
+                f"kernel 'conv_multinomial_ml' needs beta followed by (beta_j, b_j) pairs, "
+                f"got {len(vals)} parameters"
+            )
+        return {"family": fam, "beta": vals[0], "betas": vals[1::2], "bs": vals[2::2]}
     if fam == "ggbm":
         keys = ["alpha", "beta"]
     elif fam == "msm":
@@ -518,7 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["stable", "mixing", "script_a", "time_change", "fbm"],
     )
-    p.add_argument("--kernel", default="ggbm:0.8,0.6", help="for --dist time_change")
+    p.add_argument(
+        "--kernel", default="ggbm:0.8,0.6",
+        help="for --dist time_change; family:params as for phi, or "
+        "conv_multinomial_ml:beta,beta1,b1[,beta2,b2...]",
+    )
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--hurst", type=float, default=0.5)
@@ -543,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p.add_argument("--tol", type=float, default=None, help="unused; criteria carry their own tolerances")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)
 

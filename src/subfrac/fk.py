@@ -166,8 +166,10 @@ class GaussianBump:
             raise ValueError("width must be positive")
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.amplitude * np.exp(-((y - self.center) ** 2) / (2.0 * self.width**2))
+        # d * d, not d ** 2: a numpy scalar squares through libm pow and an
+        # array through a multiply, which round differently in the last bit
+        d = np.asarray(y, dtype=float) - self.center
+        return self.amplitude * np.exp(-(d * d) / (2.0 * self.width**2))
 
     def heat_semigroup(self, a, x: float, drift: float = 0.0):
         """(G_a * u0)(x + drift * a): exact Gaussian convolution."""
@@ -506,10 +508,9 @@ def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_
         z = ndtri(_clip_open(u))
         pos = x + np.cumsum(base.w * dt + np.sqrt(dt) * z, axis=1)
     integral = np.sum(problem.potential.fn(pos[:, :-1]) * (tau / m)[:, None], axis=1)
-    # u0 and exp in scalar arithmetic, one path at a time: numpy's vector
-    # square and exp can round differently from it in the last bit
-    ends = zip(pos[:, -1], integral)
-    out = np.fromiter((problem.u0(p) * math.exp(v) for p, v in ends), float, n)
+    # exp in libm arithmetic: numpy's vector exp rounds differently from it
+    # in the last bit for about 5% of arguments
+    out = problem.u0(pos[:, -1]) * np.fromiter(map(math.exp, integral.tolist()), float, n)
     out[tau == 0.0] = problem.u0(x)
     return out
 

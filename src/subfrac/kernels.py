@@ -19,6 +19,7 @@ kernels satisfy k(t, t*s) = t^{theta-1} k(1, s) and carry their degree in
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -742,7 +743,24 @@ class CoefficientTables:
         return np.array([self.value(n, t) for n in range(self.n_max + 1)])
 
 
-_COEFF_CACHE: dict = {}
+# kernels kept by each module cache; older entries are rebuilt on demand,
+# so a long-running process holds a bounded amount of table memory
+CACHE_SIZE = 16
+
+
+def lru_get(cache: OrderedDict, key, build):
+    """cache[key], built by ``build()`` on a miss; the cache keeps its
+    CACHE_SIZE most recently used entries."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > CACHE_SIZE:
+        cache.popitem(last=False)
+    return value
+
+
+_COEFF_CACHE: OrderedDict = OrderedDict()
 
 
 def coefficient_tables(
@@ -755,11 +773,9 @@ def coefficient_tables(
     """Cached CoefficientTables; kernels are frozen dataclasses, so keying
     by the instance plus build parameters is safe."""
     key = (kernel, round(horizon, 12), n_max, grid_size, quad_nodes)
-    tab = _COEFF_CACHE.get(key)
-    if tab is None or tab.n_max < n_max:
-        tab = CoefficientTables(kernel, horizon, n_max, grid_size, quad_nodes)
-        _COEFF_CACHE[key] = tab
-    return tab
+    return lru_get(
+        _COEFF_CACHE, key, lambda: CoefficientTables(kernel, horizon, n_max, grid_size, quad_nodes)
+    )
 
 
 def phi_coefficients(

@@ -16,7 +16,7 @@ from scipy.special import roots_legendre
 
 from .fk import BrownianDrift, GaussianBump
 from .kernels import FractionalPowerKernel, GGBMKernel, MemoryKernel
-from .phi import ClosedFormPhi, TimeLawCDF, has_closed_form
+from .phi import ClosedFormPhi, TimeLawCDF, has_closed_form, phi_on_grid
 from .sampling import BernsteinSpec, GridTooCoarse, _passage_scale, first_passage
 from .specfun import mwright_density
 
@@ -160,6 +160,12 @@ def spectral_solution(
             semigroup representation (drift and constant potential shift
             the Gaussian factor; the memory function stays on the real
             line where its complete monotonicity is validated).
+
+    Phi on the whole frequency grid comes from the evaluator's
+    ``values(t, lams)`` when it has one (for the ggbm and fractional-power
+    closed forms, one fixed-node Mittag-Leffler batch), otherwise from one
+    ``value(t, lam)`` call per node.  The integral over xi is the
+    trapezoid rule on ``grid``.
     """
     if symbol == "laplacian_drift_potential":
         return semigroup_quadrature(
@@ -183,7 +189,7 @@ def spectral_solution(
         phi_evaluator = ClosedFormPhi(kernel) if has_closed_form(kernel) else None
     if phi_evaluator is None:
         raise ValueError("no memory-function evaluator available for this kernel")
-    phi_vals = np.array([phi_evaluator.value(t, a) for a in arg])
+    phi_vals = phi_on_grid(phi_evaluator, t, arg)
     integrand = np.exp(1j * x * xi) * u0.fourier_transform(xi) * phi_vals
     val = np.trapezoid(integrand, xi).real / (2.0 * math.pi)
     return float(val)

@@ -18,6 +18,7 @@ recovered here by Gaver-Stehfest inversion.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,9 +34,17 @@ from .kernels import (
     MSMKernel,
     MemoryKernel,
     coefficient_tables,
+    lru_get,
 )
 from .series import TruncationBudgetExceeded
-from .specfun import MLParams, MultinomialMLParams, mittag_leffler, multinomial_ml, prabhakar
+from .specfun import (
+    MLParams,
+    MultinomialMLParams,
+    _ml_neg_integral,
+    mittag_leffler,
+    multinomial_ml,
+    prabhakar,
+)
 
 __all__ = [
     "CMReport",
@@ -49,6 +58,7 @@ __all__ = [
     "check_complete_monotone",
     "gaver_stehfest",
     "phi_closed",
+    "phi_on_grid",
     "phi_series",
     "phi_volterra",
     "time_law_cdf",
@@ -115,7 +125,7 @@ def has_closed_form(kernel: MemoryKernel) -> bool:
 
 _HP_MOMENT_DPS = 40
 _HP_SUM_DPS_CAP = 320
-_HP_CACHE: dict = {}
+_HP_CACHE: OrderedDict = OrderedDict()
 
 
 def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
@@ -126,7 +136,7 @@ def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
     This is a numerical route through the coefficient recursion (not the
     closed forms), so series-vs-closed-form comparisons stay meaningful.
     """
-    cache = _HP_CACHE.setdefault(kernel, [mp.mpf(1)])
+    cache = lru_get(_HP_CACHE, kernel, lambda: [mp.mpf(1)])
     if len(cache) > n_needed:
         return cache
     theta = kernel.theta
@@ -381,6 +391,26 @@ class ClosedFormPhi:
     def value(self, t: float, lam: float) -> float:
         return phi_closed(self.kernel, t, lam)
 
+    def values(self, t: float, lams) -> np.ndarray:
+        """value over an array of lam: one Mittag-Leffler batch for ggbm and
+        fractional-power kernels on the negative axis, else a map."""
+        lams = np.asarray(lams, dtype=float)
+        k = self.kernel
+        if isinstance(k, (GGBMKernel, FractionalPowerKernel)) and k.beta < 1.0 and t > 0.0 \
+                and np.all(lams <= 0.0):
+            return _ml_neg_integral(k.beta, -lams * t**k.theta)
+        return np.array([self.value(t, lam) for lam in lams])
+
+
+def phi_on_grid(evaluator, t: float, lams) -> np.ndarray:
+    """Phi(t, lam) over an array of lam: the evaluator's ``values`` when it
+    has one, else one ``value`` call per lam (or one call of the evaluator
+    itself when it is a plain function of (t, lam))."""
+    if hasattr(evaluator, "values"):
+        return evaluator.values(t, lams)
+    value = evaluator.value if hasattr(evaluator, "value") else evaluator
+    return np.array([value(t, lam) for lam in lams])
+
 
 # ---------------------------------------------------------------------------
 # complete monotonicity spot checks
@@ -414,8 +444,7 @@ def check_complete_monotone(
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(np.diff(lam_grid) <= 0):
         raise ValueError("lam_grid must be strictly increasing")
-    value = evaluator.value if hasattr(evaluator, "value") else evaluator
-    v = np.array([value(t, -l) for l in lam_grid])
+    v = phi_on_grid(evaluator, t, -lam_grid)
     # order 0: positivity
     if np.any(v <= 0.0):
         i = int(np.argmax(v <= 0.0))

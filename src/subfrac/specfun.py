@@ -6,9 +6,11 @@ mixing density in the package.  The evaluation strategy is uniform:
 * direct float64 series while the estimated cancellation floor stays below
   tolerance (the series are entire, single-peaked and alternate for the
   negative arguments that occur in practice),
-* a completely-monotone integral representation (one-parameter case) or an
+* once float64 cancellation would bite, a completely-monotone integral
+  representation (one-parameter case), evaluated by a fixed-node trapezoid
+  rule that serves a whole array of arguments in one pass, or an
   adaptive-precision mpmath summation (three-parameter / multinomial /
-  Wright cases) once float64 cancellation would bite,
+  Wright cases),
 * a large-argument asymptotic branch where even high-precision summation
   is uneconomical; there the functions are needed only in regimes where
   relative accuracy of a few percent is harmless (Laplace-inversion nodes,
@@ -27,7 +29,6 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, rgamma
 
 from .series import DEFAULT_TOL, SeriesResult, SeriesTolerance, sum_series
@@ -115,25 +116,47 @@ def _ml_peak_log10(beta: float, x: float) -> float:
     return best / math.log(10.0)
 
 
-def _ml_neg_integral(beta: float, a: float) -> float:
-    """E_beta(-a) for a >= 0, 0 < beta < 1, via the spectral representation
+# elements of one (arguments x nodes) block of the negative-axis rule: a
+# 128 KiB buffer; 1 MiB blocks ran 15% faster but raised peak memory by 1 MiB
+_ML_BLOCK = 2**14
 
-        E_beta(-a) = int_0^inf exp(-a^{1/beta} r) K_beta(r) dr,
 
-    rewritten in u = r^beta so the integrand is bounded at the origin.
-    No cancellation; accurate to quadrature tolerance for any a.
+def _ml_neg_integral(beta: float, a) -> np.ndarray:
+    """E_beta(-a) for an array of a >= 0, 0 < beta < 1, from
+
+        E_beta(-a) = sin(pi beta)/(pi beta) *
+            int_0^inf exp(-a^{1/beta} u^{1/beta}) / (u^2 + 2 cos(pi beta) u + 1) du
+
+    by the trapezoid rule in x = log u on one node set for every a.  The
+    integrand is analytic for |Im x| < min(pi (1 - beta), pi beta / 2)
+    (poles of the denominator; loss of the double-exponential decay), so
+    the step h = 2 pi d / 37 with d = 0.8 times that width leaves an error
+    near e^-37, and the window [-40 - log max(1, a), 40] cuts tails below
+    e^-40 relative.  No cancellation; blocks of at most _ML_BLOCK elements.
     """
-    if a == 0.0:
-        return 1.0
+    a = np.asarray(a, dtype=float)
     root = a ** (1.0 / beta)
-    cb = math.cos(pi * beta)
-
-    def f(u: float) -> float:
-        return math.exp(-root * u ** (1.0 / beta)) / (u * u + 2.0 * cb * u + 1.0)
-
-    v1, _ = quad(f, 0.0, 1.0, epsabs=1e-16, epsrel=1e-13, limit=400)
-    v2, _ = quad(f, 1.0, np.inf, epsabs=1e-16, epsrel=1e-13, limit=400)
-    return math.sin(pi * beta) / (pi * beta) * (v1 + v2)
+    out = np.ones_like(root)  # a == 0 (or a^{1/beta} underflowing) gives 1
+    live = np.flatnonzero(root != 0.0)
+    if live.size == 0:
+        return out
+    d = 0.8 * min(pi * (1.0 - beta), 0.5 * pi * beta)
+    h = 2.0 * pi * d / 37.0
+    lo = -40.0 - math.log(np.max(a, where=np.isfinite(a), initial=1.0))
+    x = h * np.arange(math.floor(lo / h), math.ceil(40.0 / h) + 1)
+    u = np.exp(x)
+    w = (h * math.sin(pi * beta) / (pi * beta)) * u / (u * u + 2.0 * math.cos(pi * beta) * u + 1.0)
+    buf = np.empty((min(live.size, max(1, _ML_BLOCK // x.size)), x.size))
+    # past the float range the exponent is -inf and the factor exactly 0
+    with np.errstate(over="ignore"):
+        neg_growth = -np.exp(x / beta)
+        for i in range(0, live.size, len(buf)):
+            idx = live[i : i + len(buf)]
+            block = buf[: idx.size]
+            np.multiply.outer(root[idx], neg_growth, out=block)
+            np.exp(block, out=block)
+            out[idx] = block @ w
+    return out
 
 
 def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
@@ -152,12 +175,11 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
         return math.exp(x)
     if x > 0.0:
         return _ml_series(beta, x, tol).value
-    if _ml_peak_log10(beta, x) > 12.5:
-        return _ml_neg_integral(beta, -x)
-    res = _ml_series(beta, x, tol)
-    if res.cancellation_error <= max(tol.abs_tol, 1e-13 * abs(res.value)):
-        return res.value
-    return _ml_neg_integral(beta, -x)
+    if _ml_peak_log10(beta, x) <= 12.5:
+        res = _ml_series(beta, x, tol)
+        if res.cancellation_error <= max(tol.abs_tol, 1e-13 * abs(res.value)):
+            return res.value
+    return float(_ml_neg_integral(beta, [-x])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,28 @@ class TestOtherCommands:
         write_csv(str(tmp_path / "rows.csv"), header, rows, meta)
         assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_sample_time_change_inverse_subordinator(self, tmp_path):
+        spec = {"family": "conv_multinomial_ml", "beta": 0.7, "betas": [0.3], "bs": [1.0]}
+        law = derive_time_change_law(make_kernel(spec), [0.8])
+        assert isinstance(law, sampling.InverseSubordinatorLaw)
+        out = tmp_path / "tc.csv"
+        rc = main(["sample", "--dist", "time_change", "--kernel", "conv_multinomial_ml:0.7,0.3,1.0",
+                   "--t", "0.8", "--paths", "6", "--seed", "5", "--out", str(out)])
+        assert rc == EXIT_OK
+        ref = tmp_path / "ref.csv"
+        write_csv(
+            str(ref), ["stream_id", "draw"],
+            [[i, v] for i, v in enumerate(sampling.time_change_draws(law, 0.8, 5, 6))],
+            {"subfrac_version": __version__, "dist": "time_change", "seed": 5, "paths": 6},
+        )
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_conv_kernel_spec_needs_pairs(self, capsys):
+        rc = main(["sample", "--dist", "time_change", "--kernel", "conv_multinomial_ml:0.7,0.3,1.0,0.2"])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "(beta_j, b_j) pairs" in err and "got 4 parameters" in err
+
     def test_sample_negative_paths_rejected(self, capsys):
         assert main(["sample", "--dist", "mixing", "--paths", "-3"]) == EXIT_SCHEMA
         assert "--paths must be nonnegative" in capsys.readouterr().err

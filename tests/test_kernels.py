@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from subfrac import kernels as kernels_module
+from subfrac import phi as phi_module
 from subfrac.kernels import (
+    CACHE_SIZE,
     ConvMultinomialMLKernel,
     ConvPowerSumKernel,
     CustomKernel,
@@ -200,6 +203,38 @@ class TestCoefficients:
         coarse = coefficient_tables(k, 2.0, 12, quad_nodes=48)
         for t in (0.25, 1.0, 2.0):
             assert np.max(np.abs(fine.values(t) - coarse.values(t))) < 1e-6
+
+
+class TestBoundedCaches:
+    """The coefficient-table and moment-recursion caches keep the most
+    recently used CACHE_SIZE kernels, so a long-running process does not
+    grow without bound."""
+
+    KERNELS = [FractionalPowerKernel(0.3 + 0.01 * i) for i in range(40)]
+
+    @pytest.fixture(autouse=True)
+    def keep_warm_entries(self):
+        # the 40 kernels would evict what earlier tests cached; put it back
+        saved = [(c, c.copy()) for c in (kernels_module._COEFF_CACHE, phi_module._HP_CACHE)]
+        yield
+        for cache, entries in saved:
+            cache.clear()
+            cache.update(entries)
+
+    def test_coefficient_tables(self):
+        for k in self.KERNELS:
+            coefficient_tables(k, 1.0, 2, grid_size=16, quad_nodes=8)
+        assert len(kernels_module._COEFF_CACHE) <= CACHE_SIZE
+        last = coefficient_tables(self.KERNELS[-1], 1.0, 2, grid_size=16, quad_nodes=8)
+        assert coefficient_tables(self.KERNELS[-1], 1.0, 2, grid_size=16, quad_nodes=8) is last
+
+    def test_moment_recursion(self):
+        for k in self.KERNELS:
+            phi_module._hp_unit_coefficients(k, 1)
+        assert len(phi_module._HP_CACHE) <= CACHE_SIZE
+        warm = phi_module._hp_unit_coefficients(self.KERNELS[-1], 1)
+        assert phi_module._hp_unit_coefficients(self.KERNELS[-1], 1) is warm
+        assert len(warm) == 2
 
 
 class TestTimeStretch:

@@ -16,6 +16,7 @@ from subfrac.oracle import (
     semigroup_quadrature,
     spectral_solution,
 )
+from subfrac.phi import ClosedFormPhi
 from subfrac.sampling import BernsteinSpec
 
 U0 = GaussianBump(0.0, 1.0)
@@ -96,6 +97,23 @@ class TestSpectralSolution:
         )
         ref = semigroup_quadrature(k, U0, BrownianDrift(0.5), 1.0, 0.0, potential_c=-0.2)
         assert v == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", [GGBMKernel(0.8, 0.6), FractionalPowerKernel(0.37)])
+    def test_batch_matches_scalar_loop(self, kernel):
+        # an evaluator with only value() takes the per-node loop
+        closed = ClosedFormPhi(kernel)
+
+        class ScalarOnly:
+            def value(self, t, lam):
+                return closed.value(t, lam)
+
+        grid = SpectralGrid(n_modes=2560)
+        for t, x in ((1.0, 0.0), (0.4, 0.7)):
+            batch = spectral_solution(kernel, U0, "laplacian_half", t, x, grid=grid)
+            loop = spectral_solution(
+                kernel, U0, "laplacian_half", t, x, grid=grid, phi_evaluator=ScalarOnly()
+            )
+            assert batch == pytest.approx(loop, abs=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,22 @@ class TestClosedForms:
     def test_at_time_zero(self):
         assert phi_closed(GGBM, 0.0, -3.0) == 1.0
 
+    @pytest.mark.parametrize("kernel", [GGBM, FractionalPowerKernel(0.37)])
+    def test_values_batch_matches_scalar_map(self, kernel):
+        ev = ClosedFormPhi(kernel)
+        lams = -0.5 * np.linspace(0.0, 9.0, 97) ** 2
+        for t in (0.0, 0.3, 1.0, 1.7):
+            got = ev.values(t, lams)
+            ref = np.array([ev.value(t, lam) for lam in lams])
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_values_falls_back_to_scalar_map(self):
+        # a positive argument, beta = 1 and a Prabhakar closed form
+        lams = np.array([-2.0, 0.5, -0.1])
+        for kernel in (GGBM, FractionalPowerKernel(1.0), MSM):
+            ev = ClosedFormPhi(kernel)
+            assert np.array_equal(ev.values(1.0, lams), [ev.value(1.0, lam) for lam in lams])
+
 
 class TestSeriesEvaluator:
     def test_lambda_zero_is_one(self):

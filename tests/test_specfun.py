@@ -7,16 +7,20 @@ cross-identities used to validate them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc, hyp2f1
 
 from subfrac.series import SeriesTolerance, TruncationBudgetExceeded
 from subfrac.specfun import (
+    _ML_BLOCK,
     MLParams,
     MultinomialMLParams,
     OutsideConvergenceDomain,
+    _ml_neg_integral,
     appell_f3,
     mittag_leffler,
     multinomial_ml,
@@ -205,3 +209,62 @@ class TestSeriesTolerance:
             SeriesTolerance(abs_tol=0.0)
         with pytest.raises(ValueError):
             SeriesTolerance(max_terms=0)
+
+
+def quad_ml_neg(beta, a):
+    """E_beta(-a) by two adaptive quadratures of the spectral integral (the
+    route the fixed-node rule replaced), kept as an independent reference."""
+    from scipy.integrate import quad
+
+    root = a ** (1.0 / beta)
+    cb = math.cos(math.pi * beta)
+
+    def f(u):
+        return math.exp(-root * u ** (1.0 / beta)) / (u * u + 2.0 * cb * u + 1.0)
+
+    v1, _ = quad(f, 0.0, 1.0, epsabs=1e-16, epsrel=1e-13, limit=400)
+    v2, _ = quad(f, 1.0, np.inf, epsabs=1e-16, epsrel=1e-13, limit=400)
+    return math.sin(math.pi * beta) / (math.pi * beta) * (v1 + v2)
+
+
+class TestNegativeAxisRule:
+    """The fixed-node trapezoid rule for E_beta(-a) over an array of a."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.05, 0.99),
+        a=st.lists(st.floats(1e-3, 60.0), min_size=1, max_size=6),
+    )
+    @example(beta=0.99, a=[1e-3, 5.0, 60.0])
+    @example(beta=0.05, a=[1e-3, 60.0])
+    def test_matches_adaptive_quadrature(self, beta, a):
+        got = _ml_neg_integral(beta, a)
+        ref = np.array([quad_ml_neg(beta, v) for v in a])
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_zero_argument_is_one(self):
+        assert np.array_equal(_ml_neg_integral(0.6, [0.0, 0.0]), [1.0, 1.0])
+
+    def test_large_argument_keeps_relative_accuracy(self):
+        # E_beta(-a) ~ 1/(a Gamma(1 - beta)) once a is large
+        # (for beta = 1/2 the next term is 1/(2 a^2) relative, below 1e-16)
+        a = 1e8
+        assert _ml_neg_integral(0.5, [a])[0] == pytest.approx(1.0 / (a * math.sqrt(math.pi)), rel=1e-12)
+
+    def test_spectral_grid_call_stays_within_one_block(self):
+        def peak_bytes(a):
+            tracemalloc.start()
+            try:
+                _ml_neg_integral(0.62, a)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 2561 arguments at about 650 nodes would be a 13 MB matrix, 100
+        # blocks; rows = the arguments of one block
+        rows = _ML_BLOCK // 650
+        grid = 0.5 * np.linspace(-9.0, 9.0, 2561) ** 2
+        one_block = peak_bytes(grid[:rows])
+        # beyond a one-block call, only the per-argument vectors (a^{1/beta},
+        # the result, the index of nonzero a: 24 bytes each) may be added
+        assert peak_bytes(grid) - one_block < 24 * 2561 + 8 * 1024
