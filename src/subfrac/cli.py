@@ -366,6 +366,8 @@ def cmd_phi(args) -> int:
 def cmd_specfun(args) -> int:
     xs = _parse_range(args.x)
     params = [float(v) for v in args.params.split(",")] if args.params else []
+    if args.fn in ("ml", "mwright") and len(params) != 1:
+        raise ValueError(f"--fn {args.fn} needs one parameter (--params beta), got {len(params)}")
     rows = []
     for x in xs:
         if args.fn == "ml":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -50,6 +51,7 @@ from .sampling import (
     stable_onesided_from_uniforms,
     stable_symmetric_from_uniforms,
 )
+from .series import lru_get
 
 __all__ = [
     "BoundedCallable",
@@ -317,16 +319,13 @@ def derive_time_change_law(kernel: MemoryKernel, eval_times: Sequence[float]):
             theta=kernel.theta,
             mixing_from_uniforms=lambda u1, u2: cdf.quantile(u1),
         )
-    # non-homogeneous without a simulable Bernstein form: CDF per time
-    cache: dict[float, object] = {}
+    # non-homogeneous without a simulable Bernstein form: CDF per time, for
+    # the CACHE_SIZE most recently used times
+    cache: OrderedDict = OrderedDict()
     evaluator = ClosedFormPhi(kernel) if has_closed_form(kernel) else SeriesPhi(kernel, horizon=max(eval_times) + 0.5 if eval_times else 2.0)
 
     def cdf_for_t(t: float):
-        tab = cache.get(t)
-        if tab is None:
-            tab = time_law_cdf(evaluator, t, _cdf_nodes(evaluator, t))
-            cache[t] = tab
-        return tab
+        return lru_get(cache, t, lambda: time_law_cdf(evaluator, t, _cdf_nodes(evaluator, t)))
 
     return NumericCDFLaw(cdf_for_t=cdf_for_t)
 

@@ -29,6 +29,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as sp_gamma
 from scipy.special import hyp2f1, roots_jacobi
 
+from .series import CACHE_SIZE, lru_get
 from .specfun import MultinomialMLParams, appell_f3, multinomial_ml
 
 __all__ = [
@@ -74,12 +75,32 @@ class QuadratureFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SingularPart:
-    """One additive weakly singular piece of a kernel."""
+    """One additive weakly singular piece of a kernel.
+
+    ``regular(t, s)`` is finite up to s = t.  It takes one time t with an
+    array s, or a column of row times t of shape (rows, 1) with s of shape
+    (rows, m); the solvers evaluate blocks of rows in one call.
+    """
 
     p_end: float
     p_zero: float
-    regular: Callable  # (t, s_array) -> array, finite up to s = t
+    regular: Callable
     conv_profile: Callable | None = None  # tau -> m(tau) for convolution pieces
+
+
+def _row_by_row(regular):
+    """A regular factor written for one time t, made to take a column of
+    row times by evaluating it one row at a time: user callables may take
+    only a scalar t, and a scalar power can round differently from numpy's
+    vector power, so a block row keeps the bits of a one-time call."""
+
+    def rows(t, s):
+        if np.ndim(t) == 0:
+            return regular(t, s)
+        s = np.broadcast_to(s, np.broadcast_shapes(np.shape(t), np.shape(s)))
+        return np.stack([regular(tv, sv) for tv, sv in zip(np.ravel(t), s)])
+
+    return rows
 
 
 @dataclass(frozen=True)
@@ -308,7 +329,7 @@ class MSMKernel(MemoryKernel):
             p_zero = nu - 1.0
         else:
             p_zero = b - 1.0
-        return [SingularPart(p_end=b / a - 1.0, p_zero=p_zero, regular=regular)]
+        return [SingularPart(p_end=b / a - 1.0, p_zero=p_zero, regular=_row_by_row(regular))]
 
     def hp_unit_eval(self, s):
         a, b = mp.mpf(self.a), mp.mpf(self.b)
@@ -407,7 +428,7 @@ class ConvMultinomialMLKernel(MemoryKernel):
         p = MultinomialMLParams(
             tuple(self.beta - bj for bj in self.betas), self.beta
         )
-        flat = np.atleast_1d(tau)
+        flat = tau.ravel()
         out = np.array(
             [
                 multinomial_ml(
@@ -470,7 +491,7 @@ class TimeStretchedKernel(MemoryKernel):
                 return part.regular(gt, gs) * diff_ratio**part.p_end * gds
 
             out.append(
-                SingularPart(p_end=part.p_end, p_zero=part.p_zero, regular=regular)
+                SingularPart(p_end=part.p_end, p_zero=part.p_zero, regular=_row_by_row(regular))
             )
         return out
 
@@ -499,7 +520,7 @@ class CustomKernel(MemoryKernel):
             below = np.minimum(s, t * (1.0 - 1e-12))
             return self.eval(t, below) * (t - below) ** (-self.p_end)
 
-        return [SingularPart(p_end=self.p_end, p_zero=self.p_zero, regular=regular)]
+        return [SingularPart(p_end=self.p_end, p_zero=self.p_zero, regular=_row_by_row(regular))]
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +652,13 @@ def verify_assumption_k(
 # coefficient recursion c_n(t) = int_0^t k(t,s) c_{n-1}(s) ds
 # ---------------------------------------------------------------------------
 
+# (grid time, quadrature node) pairs of one row block of a coefficient
+# level or of a Volterra solve: the kernel's temporaries stay near 16 KiB
+# each, and a 256-step solve peaks near 0.3 MB (0.6 MB at 2^12 pairs, no
+# faster)
+_ROW_BLOCK = 2**11
+
+
 class CoefficientTables:
     """Tabulated coefficients of the memory power series on [0, horizon].
 
@@ -639,7 +667,8 @@ class CoefficientTables:
     come from monotone cubic interpolation of log c_{n-1} against log t,
     which is exact for the power-law profiles homogeneous kernels produce
     and near-exact for smooth perturbations of them.  Nothing here
-    assumes homogeneity.
+    assumes homogeneity.  A level is evaluated in blocks of grid rows
+    against all quadrature nodes, at most _ROW_BLOCK pairs per block.
     """
 
     def __init__(
@@ -682,7 +711,7 @@ class CoefficientTables:
         self._signs = [1.0]  # 1.0: table stores log c_n; 0.0: stores c_n raw
         self._edges = [None]  # (log t_min, log c(t_min), boundary slope)
         for n in range(1, n_max + 1):
-            vals = self._level_values(n, self._master)
+            vals = self._level_values(n)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
                     ip = PchipInterpolator(self._log_master, vals, extrapolate=False)
@@ -718,16 +747,22 @@ class CoefficientTables:
         ls = np.log(np.maximum(s, 1e-300))
         return self._eval_level(n - 1, ls)
 
-    def _level_values(self, n: int, tvals) -> np.ndarray:
-        tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
+    def _level_values(self, n: int) -> np.ndarray:
+        """Level n at every grid time, from blocks of grid rows against the
+        quadrature nodes (at most _ROW_BLOCK elements per block).  Each
+        row keeps its own dot product and a scalar t^{p1+1}, so a row's
+        value has the bits of a one-time evaluation."""
+        tvals = self._master
         out = np.zeros_like(tvals)
+        rows = max(1, _ROW_BLOCK // self.quad_nodes)
         for part, u, wu in self._rules:
-            for i, t in enumerate(tvals):
-                if t == 0.0:
-                    continue
+            scale = [t ** (part.p_end + 1.0) for t in tvals]
+            for i0 in range(0, tvals.size, rows):
+                t = tvals[i0 : i0 + rows, None]
                 s = t * u
                 integrand = part.regular(t, s) * self._prev_values(n, s)
-                out[i] += t ** (part.p_end + 1.0) * float(np.dot(wu, integrand))
+                for i, row in enumerate(integrand, i0):
+                    out[i] += scale[i] * float(np.dot(wu, row))
         return out
 
     def value(self, n: int, t: float) -> float:
@@ -741,23 +776,6 @@ class CoefficientTables:
 
     def values(self, t: float) -> np.ndarray:
         return np.array([self.value(n, t) for n in range(self.n_max + 1)])
-
-
-# kernels kept by each module cache; older entries are rebuilt on demand,
-# so a long-running process holds a bounded amount of table memory
-CACHE_SIZE = 16
-
-
-def lru_get(cache: OrderedDict, key, build):
-    """cache[key], built by ``build()`` on a miss; the cache keeps its
-    CACHE_SIZE most recently used entries."""
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    value = cache[key] = build()
-    if len(cache) > CACHE_SIZE:
-        cache.popitem(last=False)
-    return value
 
 
 _COEFF_CACHE: OrderedDict = OrderedDict()

@@ -13,6 +13,13 @@ coefficient recursion.  It is simultaneously
 and the three routes cross-validate each other.  For lam <= 0 the values
 are Laplace transforms of the nonnegative time-change law, whose CDF is
 recovered here by Gaver-Stehfest inversion.
+
+What does not change inside a loop is computed once: the moment
+recursion evaluates the kernel once per quadrature node (the node values
+of the most recently extended kernel are kept), and a Volterra evaluator
+tabulates its convolution profiles once and keeps only the Phi values on
+its shared solve grid per lam.  Every cache keeps a bounded number of
+entries (``CACHE_SIZE``).
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ from .kernels import (
     GGBMKernel,
     MSMKernel,
     MemoryKernel,
+    _ROW_BLOCK,
     coefficient_tables,
-    lru_get,
 )
-from .series import TruncationBudgetExceeded
+from .series import TruncationBudgetExceeded, lru_get
 from .specfun import (
     MLParams,
     MultinomialMLParams,
@@ -126,6 +133,8 @@ def has_closed_form(kernel: MemoryKernel) -> bool:
 _HP_MOMENT_DPS = 40
 _HP_SUM_DPS_CAP = 320
 _HP_CACHE: OrderedDict = OrderedDict()
+# (k(1, s), log s) at the quadrature nodes, for the most recently extended kernel
+_HP_NODES: dict = {}
 
 
 def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
@@ -133,20 +142,41 @@ def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
     recursion  c_n(1) = c_{n-1}(1) * int_0^1 k(1,s) s^{(n-1) theta} ds,
     evaluated with tanh-sinh quadrature in extended precision.
 
+    At a fixed precision every moment visits the same quadrature nodes, so
+    k(1, s) and log s are evaluated once per node and reused for every n:
+    mpmath forms a power s^y (2y not an integer) as exp(y log s) with log s
+    at 10 extra bits, so the kept log gives the same bits.
+
     This is a numerical route through the coefficient recursion (not the
     closed forms), so series-vs-closed-form comparisons stay meaningful.
     """
     cache = lru_get(_HP_CACHE, kernel, lambda: [mp.mpf(1)])
     if len(cache) > n_needed:
         return cache
-    theta = kernel.theta
+    if kernel not in _HP_NODES:
+        _HP_NODES.clear()
+        _HP_NODES[kernel] = {}
+    nodes = _HP_NODES[kernel]
+
+    def at_node(s):
+        v = nodes.get(s)
+        if v is None:
+            with mp.extraprec(10):
+                log_s = mp.log(s)
+            v = nodes[s] = (kernel.hp_unit_eval(s), log_s)
+        return v
+
     with mp.workdps(_HP_MOMENT_DPS):
-        th = mp.mpf(theta)
+        th = mp.mpf(kernel.theta)
         for n in range(len(cache), n_needed + 1):
-            moment = mp.quad(
-                lambda s: kernel.hp_unit_eval(s) * s ** ((n - 1) * th), [0, 1]
-            )
-            cache.append(cache[-1] * moment)
+            y = mp.fmul(th, n - 1, exact=True)
+            by_log = not mp.isint(2 * y)  # mpmath powers the others by another route
+
+            def integrand(s):
+                k, log_s = at_node(s)
+                return k * (mp.exp(mp.fmul(y, log_s, exact=True)) if by_log else s**y)
+
+            cache.append(cache[-1] * mp.quad(integrand, [0, 1]))
     return cache
 
 
@@ -261,52 +291,74 @@ def phi_series(evaluator: SeriesPhi, t: float, lam: float) -> float:
 # Volterra second-kind solver (product integration)
 # ---------------------------------------------------------------------------
 
-def _volterra_solve(kernel: MemoryKernel, lam: float, horizon: float,
-                    n_steps: int, grading: float) -> tuple[np.ndarray, np.ndarray]:
+def _conv_profiles(parts, horizon: float) -> list:
+    """PCHIP tables of the parts' convolution profiles on [0, horizon]
+    (None for the other parts); they do not depend on lam, so an evaluator
+    builds them once for all its solves."""
+    tau_fine = np.linspace(0.0, horizon, 4097)
+    out = []
+    for part in parts:
+        if part.conv_profile is None:
+            out.append(None)
+            continue
+        prof_vals = part.conv_profile(tau_fine)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out.append(PchipInterpolator(tau_fine, prof_vals))
+    return out
+
+
+def _volterra_solve(kernel: MemoryKernel, lam: float, horizon: float, n_steps: int,
+                    grading: float, profiles: list) -> tuple[np.ndarray, np.ndarray]:
     """Solve Phi = 1 + lam * int_0^t k(t,s) Phi(s) ds by product
     integration: on each panel the product (regular factor * Phi) is
     linearly interpolated and integrated against the exact moments of the
-    singular weight (t - s)^{p_end}."""
+    singular weight (t - s)^{p_end}.  ``profiles`` are the parts'
+    convolution profiles from _conv_profiles(kernel.parts(), horizon).
+
+    The weights and kernel values of a block of rows come from one array
+    pass over at most about _ROW_BLOCK (row, node) pairs, the nodes past a
+    row's own time clamped to it; the forward substitution then runs row
+    by row with the same two dot products per part as a one-row solve.
+    """
     t = horizon * (np.arange(n_steps + 1) / n_steps) ** grading
     parts = kernel.parts()
-    profiles = []
-    for part in parts:
-        if part.conv_profile is not None:
-            tau_fine = np.linspace(0.0, horizon, 4097)
-            prof_vals = part.conv_profile(tau_fine)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                profiles.append(PchipInterpolator(tau_fine, prof_vals))
-        else:
-            profiles.append(None)
     phi = np.empty(n_steps + 1)
     phi[0] = 1.0
-    for i in range(1, n_steps + 1):
-        ti = t[i]
-        acc = 0.0
-        diag = 0.0
+    i0 = 1
+    while i0 <= n_steps:
+        # rows i0..i1-1 against nodes 0..i1-1: rows * i1 <= _ROW_BLOCK
+        rows = max(1, int((math.sqrt(i0 * i0 + 4 * _ROW_BLOCK) - i0) / 2))
+        i1 = min(n_steps + 1, i0 + rows)
+        ti = t[i0:i1, None]
+        s = np.minimum(t[:i1], ti)
+        h = t[1:i1] - t[: i1 - 1]
+        d0 = np.maximum(ti - t[: i1 - 1], 0.0)
+        d1 = np.maximum(ti - t[1:i1], 0.0)
+        block = []
         for part, prof in zip(parts, profiles):
             p = part.p_end
-            sj, sj1 = t[:i], t[1 : i + 1]
-            h = sj1 - sj
-            d0, d1 = ti - sj, ti - sj1
             mu0 = (d0 ** (p + 1.0) - d1 ** (p + 1.0)) / (p + 1.0)
             mu1 = d0 * mu0 - (d0 ** (p + 2.0) - d1 ** (p + 2.0)) / (p + 2.0)
             w_left = mu0 - mu1 / h
             w_right = mu1 / h
-            if prof is not None:
-                mvals = prof(ti - t[: i + 1])
-            else:
-                mvals = part.regular(ti, t[: i + 1])
-            acc += np.dot(w_left * mvals[:i], phi[:i])
-            if i > 1:
-                acc += np.dot(w_right[:-1] * mvals[1:i], phi[1:i])
-            diag += w_right[-1] * mvals[i]
-        denom = 1.0 - lam * diag
-        if denom <= 0.0:
-            raise NonconvergentRefinement(
-                "implicit product-integration step lost positivity; refine the grid"
-            )
-        phi[i] = (1.0 + lam * acc) / denom
+            mvals = prof(ti - s) if prof is not None else part.regular(ti, s)
+            block.append((w_left * mvals[:, :-1], w_right[:, :-1] * mvals[:, 1:-1],
+                          w_right, mvals))
+        for r, i in enumerate(range(i0, i1)):
+            acc = 0.0
+            diag = 0.0
+            for left, right, w_right, mvals in block:
+                acc += np.dot(left[r, :i], phi[:i])
+                if i > 1:
+                    acc += np.dot(right[r, : i - 1], phi[1:i])
+                diag += w_right[r, i - 1] * mvals[r, i]
+            denom = 1.0 - lam * diag
+            if denom <= 0.0:
+                raise NonconvergentRefinement(
+                    "implicit product-integration step lost positivity; refine the grid"
+                )
+            phi[i] = (1.0 + lam * acc) / denom
+        i0 = i1
     return t, phi
 
 
@@ -332,13 +384,14 @@ def phi_volterra(
     horizon = float(t_grid[-1]) if t_grid[-1] > 0 else 1.0
     if lam == 0.0:
         return np.ones_like(t_grid)
-    grid, phi = _volterra_solve(kernel, lam, horizon, n_steps, grading)
+    profiles = _conv_profiles(kernel.parts(), horizon)
+    grid, phi = _volterra_solve(kernel, lam, horizon, n_steps, grading, profiles)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ip = PchipInterpolator(grid, phi)
     out = ip(t_grid)
     out[t_grid == 0.0] = 1.0
     if check:
-        grid2, phi2 = _volterra_solve(kernel, lam, horizon, n_steps // 2, grading)
+        grid2, phi2 = _volterra_solve(kernel, lam, horizon, n_steps // 2, grading, profiles)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out2 = PchipInterpolator(grid2, phi2)(t_grid)
         out2[t_grid == 0.0] = 1.0
@@ -351,7 +404,13 @@ def phi_volterra(
 
 
 class VolterraPhi:
-    """Deterministic Phi evaluator backed by cached Volterra solves."""
+    """Deterministic Phi evaluator backed by cached Volterra solves.
+
+    The cache is compact: one solve grid shared by every lam and the Phi
+    values on it for the CACHE_SIZE most recently used lam; the monotone
+    interpolant is rebuilt from them on each read.  The convolution
+    profiles are tabulated once per evaluator.
+    """
 
     def __init__(self, kernel: MemoryKernel, horizon: float = 2.0,
                  n_steps: int = 1024, grading: float = 2.0):
@@ -359,25 +418,25 @@ class VolterraPhi:
         self.horizon = float(horizon)
         self.n_steps = n_steps
         self.grading = grading
-        self._cache: dict[float, PchipInterpolator] = {}
+        self._grid: np.ndarray | None = None
+        self._profiles: list | None = None
+        self._cache: OrderedDict = OrderedDict()  # lam -> Phi on self._grid
 
-    def _interp(self, lam: float) -> PchipInterpolator:
-        ip = self._cache.get(lam)
-        if ip is None:
-            grid, phi = _volterra_solve(
-                self.kernel, lam, self.horizon, self.n_steps, self.grading
-            )
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ip = PchipInterpolator(grid, phi)
-            self._cache[lam] = ip
-        return ip
+    def _solve(self, lam: float) -> np.ndarray:
+        if self._profiles is None:
+            self._profiles = _conv_profiles(self.kernel.parts(), self.horizon)
+        self._grid, phi = _volterra_solve(self.kernel, lam, self.horizon, self.n_steps,
+                                          self.grading, self._profiles)
+        return phi
 
     def value(self, t: float, lam: float) -> float:
         if t == 0.0 or lam == 0.0:
             return 1.0
         if t > self.horizon:
             raise ValueError(f"t={t:g} beyond solver horizon {self.horizon:g}")
-        return float(self._interp(lam)(t))
+        phi = lru_get(self._cache, lam, lambda: self._solve(lam))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(PchipInterpolator(self._grid, phi)(t))
 
 
 class ClosedFormPhi:

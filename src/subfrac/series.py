@@ -12,6 +12,7 @@ to fall back to a high-precision or integral-representation branch.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 __all__ = [
@@ -92,3 +93,20 @@ def sum_series(term_fn, tol: SeriesTolerance = DEFAULT_TOL) -> SeriesResult:
         f"series tail still above {tol.abs_tol:g} after {tol.max_terms} terms "
         f"(max |term| seen {max_abs:g})"
     )
+
+
+# entries kept by each cache; older entries are rebuilt on demand, so a
+# long-running process holds a bounded amount of table memory
+CACHE_SIZE = 16
+
+
+def lru_get(cache: OrderedDict, key, build):
+    """cache[key], built by ``build()`` on a miss; the cache keeps its
+    CACHE_SIZE most recently used entries."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > CACHE_SIZE:
+        cache.popitem(last=False)
+    return value

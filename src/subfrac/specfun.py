@@ -23,6 +23,7 @@ the corresponding term is dropped.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import pi
 from typing import Sequence
@@ -31,7 +32,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, gammasgn, rgamma
 
-from .series import DEFAULT_TOL, SeriesResult, SeriesTolerance, sum_series
+from .series import DEFAULT_TOL, SeriesResult, SeriesTolerance, lru_get, sum_series
 
 __all__ = [
     "MLParams",
@@ -47,6 +48,23 @@ __all__ = [
 # beyond this many decimal digits of working precision the mpmath series
 # branch is considered uneconomical and the asymptotic branch takes over
 _DPS_CAP = 150
+
+# 1/Gamma at the arguments of an mpmath series, per (series, parameters,
+# precision): the Gamma factors do not depend on the series' argument, so
+# the calls of one quadrature or inversion that share a precision share
+# them.  Tables are kept up to _RGAMMA_TABLE_DPS digits, where a quadrature
+# makes most of its calls; the rare long series above it would pin about
+# 1 MB of interpreter memory for little reuse.
+_RGAMMA_TABLES: OrderedDict = OrderedDict()
+_RGAMMA_TABLE_DPS = 40
+
+
+def _rgamma_table(key: tuple, dps: int) -> list:
+    """The shared 1/Gamma list of one series at precision dps (a fresh one
+    above _RGAMMA_TABLE_DPS); callers extend it term by term."""
+    if dps > _RGAMMA_TABLE_DPS:
+        return []
+    return lru_get(_RGAMMA_TABLES, key + (dps,), list)
 
 
 class OutsideConvergenceDomain(ValueError):
@@ -133,16 +151,21 @@ def _ml_neg_integral(beta: float, a) -> np.ndarray:
     the step h = 2 pi d / 37 with d = 0.8 times that width leaves an error
     near e^-37, and the window [-40 - log max(1, a), 40] cuts tails below
     e^-40 relative.  No cancellation; blocks of at most _ML_BLOCK elements.
+    Where a^{1/beta} overflows, the first asymptotic term 1/(a Gamma(1 -
+    beta)) is exact in float64: the next one is smaller by a factor a.
     """
     a = np.asarray(a, dtype=float)
-    root = a ** (1.0 / beta)
+    with np.errstate(over="ignore"):
+        root = a ** (1.0 / beta)
     out = np.ones_like(root)  # a == 0 (or a^{1/beta} underflowing) gives 1
-    live = np.flatnonzero(root != 0.0)
+    huge = np.isinf(root)
+    out[huge] = rgamma(1.0 - beta) / a[huge]
+    live = np.flatnonzero((root != 0.0) & ~huge)
     if live.size == 0:
         return out
     d = 0.8 * min(pi * (1.0 - beta), 0.5 * pi * beta)
     h = 2.0 * pi * d / 37.0
-    lo = -40.0 - math.log(np.max(a, where=np.isfinite(a), initial=1.0))
+    lo = -40.0 - math.log(max(1.0, float(np.max(a[live]))))
     x = h * np.arange(math.floor(lo / h), math.ceil(40.0 / h) + 1)
     u = np.exp(x)
     w = (h * math.sin(pi * beta) / (pi * beta)) * u / (u * u + 2.0 * math.cos(pi * beta) * u + 1.0)
@@ -168,6 +191,8 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
     if x == 0.0:
         return 1.0
     if beta == 1.0:
@@ -247,12 +272,15 @@ def _prabhakar_mp(p: MLParams, x: float, dps: int) -> float:
         q1, q2, q3 = mp.mpf(p.q1), mp.mpf(p.q2), mp.mpf(p.q3)
         xm = mp.mpf(x)
         s = mp.mpf(0)
-        poch = mp.mpf(1)
+        coef = mp.mpf(1)  # (q3)_n x^n / n!, carried from term to term
+        rg = _rgamma_table(("prabhakar", p.q1, p.q2), dps)
         small = 0
         thresh = mp.mpf(10) ** (-dps + 10)
         n = 0
         while n < 500_000:
-            t = poch * xm**n * mp.rgamma(q1 * n + q2) / mp.factorial(n)
+            if n == len(rg):
+                rg.append(mp.rgamma(q1 * n + q2))
+            t = coef * rg[n]
             s += t
             if abs(t) < thresh:
                 small += 1
@@ -260,8 +288,8 @@ def _prabhakar_mp(p: MLParams, x: float, dps: int) -> float:
                     break
             else:
                 small = 0
-            poch *= q3 + n
             n += 1
+            coef *= (q3 + n - 1) * xm / n
         return float(s)
 
 
@@ -298,6 +326,8 @@ def _prabhakar_asymptotic(p: MLParams, x: float) -> float:
 
 def prabhakar(p: MLParams, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
     """Three-parameter Mittag-Leffler sum  (q3)_n x^n / (Gamma(q1 n + q2) n!)."""
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
     if x == 0.0:
         return rgamma(p.q2)
     if x < 0.0 and 0.0 < p.q1 < 1.0:
@@ -446,10 +476,16 @@ def _mwright_mp(beta: float, z: float, dps: int) -> float:
         zm = mp.mpf(z)
         bem = mp.mpf(beta)
         s = mp.mpf(0)
+        coef = mp.mpf(1)  # (-z)^n / n!, carried from term to term
+        rg = _rgamma_table(("mwright", beta), dps)
         small = 0
         thresh = mp.mpf(10) ** (-dps + 10)
         for n in range(500_000):
-            t = (-zm) ** n / mp.factorial(n) * mp.rgamma(-bem * n + 1 - bem)
+            if n:
+                coef *= -zm / n
+            if n == len(rg):
+                rg.append(mp.rgamma(-bem * n + 1 - bem))
+            t = coef * rg[n]
             s += t
             if abs(t) < thresh:
                 small += 1
@@ -485,6 +521,8 @@ def mwright_density(beta: float, z: float, tol: SeriesTolerance = DEFAULT_TOL) -
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
+    if math.isnan(z):
+        raise ValueError("z must be a number, got nan")
     if z < 0.0:
         raise ValueError("z must be nonnegative")
     if z == 0.0:

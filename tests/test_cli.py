@@ -256,3 +256,15 @@ class TestOtherCommands:
         )
         assert proc.returncode == 0
         assert "specfun-identities" in proc.stdout
+
+
+class TestSpecfunArguments:
+    def test_nan_argument_exits_2_naming_it(self, capsys):
+        rc = main(["specfun", "--fn", "ml", "--params", "0.6", "--x=nan:nan:1"])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err.strip() == "invalid input: x must be a number, got nan"
+
+    def test_missing_parameter_exits_2(self, capsys):
+        rc = main(["specfun", "--fn", "ml", "--x=nan:nan:1"])
+        assert rc == EXIT_SCHEMA
+        assert "--fn ml needs one parameter" in capsys.readouterr().err

@@ -2,12 +2,14 @@
 representation equivalence, and the diffusion-with-flow consistency."""
 
 import math
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from subfrac import fk as fk_module
 from subfrac.fk import (
     BrownianDrift,
     CallablePotential,
@@ -31,7 +33,7 @@ from subfrac.fk import (
     _draw_time_changes,
     _pathwise_values,
 )
-from subfrac.kernels import ConvPowerSumKernel, FractionalPowerKernel, GGBMKernel, StretchFn
+from subfrac.kernels import CACHE_SIZE, ConvPowerSumKernel, FractionalPowerKernel, GGBMKernel, StretchFn
 from subfrac.sampling import (
     SUB_GAUSSIAN,
     BernsteinSpec,
@@ -404,3 +406,28 @@ class TestStretch:
         stretched = stretch_solution(ggbm_problem(), st)
         assert stretched.kernel.family == "time_stretched"
         assert stretched.kernel.theta == pytest.approx(1.6)
+
+
+class TestBoundedCDFCache:
+    """Per-time CDF tables of a numeric-CDF law keep the CACHE_SIZE most
+    recently used times."""
+
+    def test_tables_are_bounded_and_warm_reads_repeat(self, monkeypatch):
+        built = []
+
+        def fake_cdf(evaluator, t, nodes):
+            built.append(t)
+            return object()
+
+        monkeypatch.setattr(fk_module, "time_law_cdf", fake_cdf)
+        monkeypatch.setattr(fk_module, "_cdf_nodes", lambda evaluator, t=1.0: None)
+        law = derive_time_change_law(ConvPowerSumKernel(0.6, (0.3,), (0.5,)), [1.0])
+        times = [0.05 * (i + 1) for i in range(40)]
+        tables = [law.cdf_for_t(t) for t in times]
+        cache = next(c.cell_contents for c in law.cdf_for_t.__closure__
+                     if isinstance(c.cell_contents, OrderedDict))
+        assert len(cache) <= CACHE_SIZE
+        assert law.cdf_for_t(times[-1]) is tables[-1]
+        assert len(built) == 40
+        law.cdf_for_t(times[0])  # evicted: built again
+        assert len(built) == 41

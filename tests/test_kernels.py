@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,48 @@ class TestCustomKernel:
         # k == 2: c_n(t) = (2t)^n / n!
         exact = np.array([2.0**n / math.factorial(n) for n in range(4)])
         assert np.max(np.abs(c - exact)) < 1e-9
+
+
+def level_per_time(tab, n):
+    """Coefficient level n at every grid time, one time at a time."""
+    out = np.zeros_like(tab._master)
+    for part, u, wu in tab._rules:
+        for i, t in enumerate(tab._master):
+            s = t * u
+            integrand = part.regular(t, s) * tab._prev_values(n, s)
+            out[i] += t ** (part.p_end + 1.0) * float(np.dot(wu, integrand))
+    return out
+
+
+class TestCoefficientRowBlocks:
+    """A table level built from blocks of grid rows has the bits of the
+    per-time loop, for kernels evaluated as arrays and row by row."""
+
+    GGBM = GGBMKernel(0.8, 0.6)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            GGBM,
+            MSMKernel(a=2.0, b=1.0, mu=0.5, nu=2.0),
+            ConvPowerSumKernel(0.7, (0.4,), (0.5,)),
+            CustomKernel(fn=lambda t, s: TestCoefficientRowBlocks.GGBM.eval(t, s), theta_value=0.8,
+                         p_zero=0.8 / 0.6 - 1.0, p_end=-0.4),
+            time_stretch_kernel(GGBM, StretchFn(g=lambda u: u**1.5, g_dot=lambda u: 1.5 * u**0.5, power=1.5)),
+        ],
+        ids=["ggbm", "msm", "conv_power_sum", "custom", "time_stretched"],
+    )
+    def test_level_bit_equal_to_per_time_loop(self, kernel):
+        tab = kernels_module.CoefficientTables(kernel, 1.0, 3, grid_size=300)
+        for n in (1, 3):
+            assert np.array_equal(tab._level_values(n), level_per_time(tab, n))
+
+    def test_level_memory_is_bounded_by_the_row_block(self):
+        tab = kernels_module.CoefficientTables(self.GGBM, 1.0, 2)
+        tracemalloc.start()
+        try:
+            tab._level_values(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -2,12 +2,19 @@
 complete-monotonicity checks and the Laplace-inversion CDF."""
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
+
+from subfrac import phi as phi_module
 
 from subfrac.kernels import (
+    CACHE_SIZE,
+    ConvMultinomialMLKernel,
     ConvPowerSumKernel,
     CustomKernel,
     FractionalPowerKernel,
@@ -290,3 +297,128 @@ class TestTimeLawCDF:
         for u in (0.1, 0.5, 0.9):
             x = float(cdf.quantile(u))
             assert cdf.cdf(x) == pytest.approx(u, abs=2e-2)
+
+
+def moment_per_n(kernel, n):
+    """int_0^1 k(1, s) s^{(n-1) theta} ds by a plain mp.quad that evaluates
+    the kernel afresh at every node."""
+    with mp.workdps(40):
+        th = mp.mpf(kernel.theta)
+        return mp.quad(lambda s: kernel.hp_unit_eval(s) * s ** ((n - 1) * th), [0, 1])
+
+
+class TestMomentNodeReuse:
+    """The moment recursion evaluates k(1, s) once per quadrature node."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [GGBMKernel(0.7, 0.55), MSMKernel(a=1.5, b=1.0, mu=0.0, nu=1.2), FractionalPowerKernel(0.5)],
+        ids=["ggbm", "msm", "half_integer_powers"],
+    )
+    def test_exact_against_one_quad_per_n(self, kernel):
+        phi_module._HP_CACHE.pop(kernel, None)
+        got = phi_module._hp_unit_coefficients(kernel, 40)
+        with mp.workdps(40):
+            for n in (1, 2, 17, 40):
+                assert got[n] == got[n - 1] * moment_per_n(kernel, n)
+
+    def test_node_values_kept_for_the_last_kernel_only(self):
+        first, second = FractionalPowerKernel(0.41), FractionalPowerKernel(0.43)
+        phi_module._hp_unit_coefficients(first, 2)
+        phi_module._hp_unit_coefficients(second, 2)
+        assert list(phi_module._HP_NODES) == [second]
+
+
+def volterra_solve_per_row(kernel, lam, horizon, n_steps, grading):
+    """Product-integration solve with the weights and kernel values built
+    one row at a time."""
+    t = horizon * (np.arange(n_steps + 1) / n_steps) ** grading
+    parts = kernel.parts()
+    profiles = []
+    for part in parts:
+        if part.conv_profile is not None:
+            tau_fine = np.linspace(0.0, horizon, 4097)
+            prof_vals = part.conv_profile(tau_fine)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                profiles.append(PchipInterpolator(tau_fine, prof_vals))
+        else:
+            profiles.append(None)
+    phi = np.empty(n_steps + 1)
+    phi[0] = 1.0
+    for i in range(1, n_steps + 1):
+        ti = t[i]
+        acc = 0.0
+        diag = 0.0
+        for part, prof in zip(parts, profiles):
+            p = part.p_end
+            sj, sj1 = t[:i], t[1 : i + 1]
+            h = sj1 - sj
+            d0, d1 = ti - sj, ti - sj1
+            mu0 = (d0 ** (p + 1.0) - d1 ** (p + 1.0)) / (p + 1.0)
+            mu1 = d0 * mu0 - (d0 ** (p + 2.0) - d1 ** (p + 2.0)) / (p + 2.0)
+            w_left = mu0 - mu1 / h
+            w_right = mu1 / h
+            if prof is not None:
+                mvals = prof(ti - t[: i + 1])
+            else:
+                mvals = part.regular(ti, t[: i + 1])
+            acc += np.dot(w_left * mvals[:i], phi[:i])
+            if i > 1:
+                acc += np.dot(w_right[:-1] * mvals[1:i], phi[1:i])
+            diag += w_right[-1] * mvals[i]
+        phi[i] = (1.0 + lam * acc) / (1.0 - lam * diag)
+    return t, phi
+
+
+class TestVolterraRowBlocks:
+    """Row blocks of the Volterra solve give the bits of a per-row solve."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            GGBM,
+            MSM,
+            ConvPowerSumKernel(beta=0.5, betas=(0.3,), bs=(0.5,)),
+            ConvMultinomialMLKernel(beta=0.7, betas=(0.3,), bs=(0.5,)),
+            CustomKernel(fn=lambda t, s: GGBM.eval(t, s), theta_value=0.8, p_zero=0.8 / 0.6 - 1.0, p_end=-0.4),
+        ],
+        ids=["ggbm", "msm", "conv_power_sum", "conv_multinomial_ml", "custom"],
+    )
+    def test_bit_equal_to_per_row_solve(self, kernel):
+        for n_steps in (7, 300):
+            ref_t, ref = volterra_solve_per_row(kernel, -1.7, 1.0, n_steps, 2.0)
+            profiles = phi_module._conv_profiles(kernel.parts(), 1.0)
+            t, got = phi_module._volterra_solve(kernel, -1.7, 1.0, n_steps, 2.0, profiles)
+            assert np.array_equal(t, ref_t)
+            assert np.array_equal(got, ref)
+
+    def test_solve_memory_is_bounded_by_the_row_block(self):
+        tracemalloc.start()
+        try:
+            phi_module._volterra_solve(GGBM, -1.0, 1.0, 256, 2.0, [None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestCompactVolterraCache:
+    def test_cache_is_bounded_and_warm_reads_repeat(self):
+        ev = VolterraPhi(GGBM, horizon=1.0, n_steps=32)
+        lams = [-0.1 * (i + 1) for i in range(40)]
+        first = [ev.value(0.5, lam) for lam in lams]
+        assert len(ev._cache) <= CACHE_SIZE
+        warm = lams[-CACHE_SIZE:]
+        assert [ev.value(0.5, lam) for lam in warm] == first[-CACHE_SIZE:]
+        assert ev.value(0.5, lams[0]) == first[0]  # evicted, solved again
+
+    def test_six_solves_retain_little(self):
+        tracemalloc.start()
+        try:
+            ev = VolterraPhi(GGBM, horizon=1.0, n_steps=256)
+            for i in range(6):
+                ev.value(0.7, -0.5 - 0.5 * i)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 30_000

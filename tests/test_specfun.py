@@ -8,10 +8,12 @@ cross-identities used to validate them.
 
 import math
 import tracemalloc
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import erfc, hyp2f1
 
 from subfrac.series import SeriesTolerance, TruncationBudgetExceeded
@@ -21,6 +23,10 @@ from subfrac.specfun import (
     MultinomialMLParams,
     OutsideConvergenceDomain,
     _ml_neg_integral,
+    _mwright_mp,
+    _mwright_peak_log10,
+    _prabhakar_mp,
+    _prabhakar_peak_log10,
     appell_f3,
     mittag_leffler,
     multinomial_ml,
@@ -268,3 +274,86 @@ class TestNegativeAxisRule:
         # beyond a one-block call, only the per-argument vectors (a^{1/beta},
         # the result, the index of nonzero a: 24 bytes each) may be added
         assert peak_bytes(grid) - one_block < 24 * 2561 + 8 * 1024
+
+
+def prabhakar_mp_termwise(p, x, dps):
+    """The mpmath Prabhakar sum with each term built from xm**n and n!."""
+    with mp.workdps(dps):
+        q1, q2, q3 = mp.mpf(p.q1), mp.mpf(p.q2), mp.mpf(p.q3)
+        xm, s, poch, small, n = mp.mpf(x), mp.mpf(0), mp.mpf(1), 0, 0
+        thresh = mp.mpf(10) ** (-dps + 10)
+        while n < 500_000:
+            t = poch * xm**n * mp.rgamma(q1 * n + q2) / mp.factorial(n)
+            s += t
+            small = small + 1 if abs(t) < thresh else 0
+            if small >= 8:
+                break
+            poch *= q3 + n
+            n += 1
+        return float(s)
+
+
+def mwright_mp_termwise(beta, z, dps):
+    """The mpmath Wright sum with each term built from (-z)**n and n!."""
+    with mp.workdps(dps):
+        zm, bem, s, small = mp.mpf(z), mp.mpf(beta), mp.mpf(0), 0
+        thresh = mp.mpf(10) ** (-dps + 10)
+        for n in range(500_000):
+            t = (-zm) ** n / mp.factorial(n) * mp.rgamma(-bem * n + 1 - bem)
+            s += t
+            small = small + 1 if abs(t) < thresh else 0
+            if small >= 8:
+                break
+        return float(s)
+
+
+class TestMpSeriesRunningProducts:
+    """The mpmath branches carry x^n/n! as a running product.  The sums run
+    at 25 digits beyond the largest term; the Prabhakar values, of order
+    |x|^-q3, come out float-equal to the term-by-term sum's, the Wright
+    values (tail densities far below the largest term) agree to the
+    absolute accuracy that precision gives."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(q1=st.floats(0.55, 0.8), q2=st.floats(0.5, 2.0), q3=st.floats(0.5, 2.0),
+           x=st.floats(-18.0, -10.0))
+    def test_prabhakar(self, q1, q2, q3, x):
+        p = MLParams(q1, q2, q3)
+        peak = _prabhakar_peak_log10(p, x)
+        dps = int(peak) + 25
+        assume(peak > 13.0 and dps <= 150)  # where prabhakar() sums in mpmath
+        assert _prabhakar_mp(p, x, dps) == prabhakar_mp_termwise(p, x, dps)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.45, 0.65), z=st.floats(9.0, 16.0))
+    def test_mwright(self, beta, z):
+        peak = _mwright_peak_log10(beta, z)
+        dps = int(peak) + 25
+        assume(peak > 13.0 and dps <= 150)  # where mwright_density() sums in mpmath
+        got, ref = _mwright_mp(beta, z, dps), mwright_mp_termwise(beta, z, dps)
+        assert abs(got - ref) <= 10.0 ** (peak - dps + 5)
+
+
+class TestNonFiniteArguments:
+    def test_ml_beyond_overflowing_root_is_the_asymptote(self):
+        # a^{1/beta} overflows for a above about 1e185 at beta = 0.6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = mittag_leffler(0.6, -1e300)
+            batch = _ml_neg_integral(0.6, [1.0, 1e300, 1.7e308])
+        assert math.isfinite(v) and v > 0.0
+        assert v == pytest.approx(1.0 / (1e300 * math.gamma(0.4)), rel=1e-14)
+        assert batch[0] == _ml_neg_integral(0.6, [1.0])[0]
+        assert np.all(batch > 0.0)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: mittag_leffler(0.6, math.nan), "x"),
+            (lambda: prabhakar(MLParams(0.5, 1.0, 1.0), math.nan), "x"),
+            (lambda: mwright_density(0.5, math.nan), "z"),
+        ],
+    )
+    def test_nan_argument_is_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
+            call()
