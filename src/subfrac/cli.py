@@ -390,7 +390,7 @@ def cmd_specfun(args) -> int:
     return EXIT_OK
 
 
-def _scalar_draws(args) -> list[float]:
+def _scalar_draws(args) -> np.ndarray:
     n, seed = args.paths, args.seed
     if args.dist == "stable":
         return stable_subordinator_draws(args.gamma, args.t, seed, n)

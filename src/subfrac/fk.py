@@ -42,19 +42,19 @@ from .sampling import (
     InverseSubordinatorLaw,
     NumericCDFLaw,
     PathGrid,
+    StretchedLaw,
     _clip_open,
-    draw_subordinated_time,
     fbm_paths_batch,
-    inverse_passage_batch,
     mixing_from_uniforms,
     path_uniforms,
-    stable_onesided_from_uniforms,
+    scriptA_draws,
     stable_symmetric_from_uniforms,
+    subordinator_draws,
+    time_change_draws,
 )
 from .series import lru_get
 
 __all__ = [
-    "BoundedCallable",
     "BrownianDrift",
     "CallablePotential",
     "ConstantPotential",
@@ -195,15 +195,6 @@ class GaussianBump:
         )
 
 
-@dataclass(frozen=True)
-class BoundedCallable:
-    fn: Callable
-    bound: float
-
-    def __call__(self, y):
-        return self.fn(np.asarray(y, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # the problem container
 # ---------------------------------------------------------------------------
@@ -216,7 +207,7 @@ class FKProblem:
     kernel: MemoryKernel
     process: ProcessModel
     potential: ZeroPotential | ConstantPotential | CallablePotential
-    u0: GaussianBump | BoundedCallable
+    u0: GaussianBump
     eval_points: tuple[tuple[float, float], ...]
     law: object | None = None  # derived from the kernel when None
     representation: str = "path"
@@ -330,6 +321,13 @@ def derive_time_change_law(kernel: MemoryKernel, eval_times: Sequence[float]):
     return NumericCDFLaw(cdf_for_t=cdf_for_t)
 
 
+def _time_change_law(problem: FKProblem):
+    """The problem's law, or the one derived from its kernel."""
+    if problem.law is not None:
+        return problem.law
+    return derive_time_change_law(problem.kernel, [p[0] for p in problem.eval_points])
+
+
 def _cdf_nodes(evaluator, t: float = 1.0, n_nodes: int = 240) -> np.ndarray:
     """Node range for CDF tabulation, sized from the law's mean.
 
@@ -436,29 +434,10 @@ def _estimate(values: np.ndarray, seed: int, diagnostics: dict | None = None) ->
     return Estimate(mean=mean, stderr=stderr, n_paths=n, seed=seed, grid_diagnostics=diagnostics)
 
 
-def _draw_time_changes(law, t, n_paths, master_seed, base_sub, start=0):
-    if isinstance(law, StretchedLaw):
-        return _draw_time_changes(
-            law.base, law.stretch.g(t), n_paths, master_seed, base_sub, start
-        )
-    if isinstance(law, HomogeneousProductLaw):
-        u = path_uniforms(master_seed, base_sub + SUB_MIXING, n_paths, law.uniforms_needed, start)
-        return np.asarray(law.sample_from_uniforms(t, u), dtype=float)
-    if isinstance(law, NumericCDFLaw):
-        u = path_uniforms(master_seed, base_sub + SUB_MIXING, n_paths, 1, start)
-        return np.asarray(law.sample_from_uniforms(t, u), dtype=float)
-    if isinstance(law, InverseSubordinatorLaw):
-        return inverse_passage_batch(
-            law.bernstein,
-            t,
-            n_paths,
-            master_seed,
-            substream=base_sub + SUB_MIXING,
-            steps_per_unit=law.steps_per_unit,
-            max_chunks=law.max_chunks,
-            start=start,
-        )
-    raise TypeError(f"unknown time-change law {type(law).__name__}")
+def _combined_amplitude(law, gamma, n_paths, master_seed, base_sub, start=0):
+    """Draws of A^{1/gamma} * eta_1 for a product law, whose A is A(1)."""
+    amp = time_change_draws(law, 1.0, master_seed, n_paths, start, base_sub + SUB_MIXING)
+    return scriptA_draws(gamma, amp, master_seed, start, base_sub + SUB_SUBORDINATOR)
 
 
 def _marginal_positions(problem: FKProblem, tau, x, master_seed, base_sub, start=0):
@@ -514,26 +493,18 @@ def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_
     return out
 
 
-def _rsgp_values(problem: FKProblem, t, x, n_paths, master_seed, base_sub, rsgp_steps=64, start=0):
+def _rsgp_values(problem: FKProblem, law, t, x, n_paths, master_seed, base_sub, rsgp_steps=64, start=0):
     """Values under the randomly scaled Gaussian representations."""
     theta = problem.kernel.theta
     gamma = problem.gamma
     k = theta / gamma
     w = problem.process.base.w
     c = problem.potential.c if isinstance(problem.potential, ConstantPotential) else 0.0
-    law = problem.law
     if isinstance(law, StretchedLaw):
         raise RsgpScopeError("scaled-Gaussian representations need the plain product law")
     if not isinstance(law, HomogeneousProductLaw):
         raise RsgpScopeError("scaled-Gaussian representations need the product-form law")
-    u_mix = path_uniforms(master_seed, base_sub + SUB_MIXING, n_paths, 2, start)
-    amp = np.asarray(law.mixing_from_uniforms(u_mix[:, 0], u_mix[:, 1]), dtype=float)
-    if gamma < 1.0:
-        u_sub = path_uniforms(master_seed, base_sub + SUB_SUBORDINATOR, n_paths, 2, start)
-        eta1 = stable_onesided_from_uniforms(u_sub[:, 0], u_sub[:, 1], gamma)
-        cal_a = amp ** (1.0 / gamma) * eta1
-    else:
-        cal_a = amp
+    cal_a = _combined_amplitude(law, gamma, n_paths, master_seed, base_sub, start)
     scale = cal_a * t**k
     kind = problem.representation
     nodes = np.linspace(0.0, t, rsgp_steps + 1)
@@ -582,20 +553,13 @@ def path_values(
     t, x = float(point[0]), float(point[1])
     if t == 0.0:
         return np.full(n_paths, float(problem.u0(x)))
-    law = problem.law if problem.law is not None else derive_time_change_law(
-        problem.kernel, [p[0] for p in problem.eval_points]
-    )
+    law = _time_change_law(problem)
     if problem.representation != "path":
-        prob = problem if problem.law is not None else replace(problem, law=law)
-        return _rsgp_values(prob, t, x, n_paths, seed, base_sub, rsgp_steps, start)
-    a_t = _draw_time_changes(law, t, n_paths, seed, base_sub, start)
-    sub = problem.process.subordination
-    if sub.is_identity:
-        tau = a_t
-    else:
-        cols = 2 * sub.n_stable_terms
-        u = path_uniforms(seed, base_sub + SUB_SUBORDINATOR, n_paths, cols, start)
-        tau = np.asarray(draw_subordinated_time(sub, a_t, u), dtype=float)
+        return _rsgp_values(problem, law, t, x, n_paths, seed, base_sub, rsgp_steps, start)
+    a_t = time_change_draws(law, t, seed, n_paths, start, base_sub + SUB_MIXING)
+    tau = subordinator_draws(
+        problem.process.subordination, a_t, seed, n_paths, start, base_sub + SUB_SUBORDINATOR
+    )
     if isinstance(problem.potential, CallablePotential):
         return _pathwise_values(problem, t, x, tau, seed, base_sub, grid_steps, start)
     positions = _marginal_positions(problem, tau, x, seed, base_sub, start)
@@ -630,10 +594,7 @@ def solve(
         raise ValueError("n_paths must be >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    law = problem.law if problem.law is not None else derive_time_change_law(
-        problem.kernel, [p[0] for p in problem.eval_points]
-    )
-    prob = replace(problem, law=law)
+    prob = replace(problem, law=_time_change_law(problem))
 
     def chunked_values(point, gsteps, base_sub):
         bounds = np.linspace(0, n_paths, workers + 1).astype(int)
@@ -713,9 +674,7 @@ def solve_doss_sussmann(
     gamma = problem.gamma
     theta = problem.kernel.theta
     k = theta / gamma
-    law = problem.law if problem.law is not None else derive_time_change_law(
-        problem.kernel, [p[0] for p in problem.eval_points]
-    )
+    law = _time_change_law(problem)
     if not isinstance(law, HomogeneousProductLaw):
         raise RsgpScopeError("the flow representation needs the product-form law")
     out = []
@@ -725,14 +684,7 @@ def solve_doss_sussmann(
             e = Estimate(float(problem.u0(x)), 0.0, n_paths, seed)
             out.append(DossSussmannResult(e, e, 0.0, 0.0))
             continue
-        u_mix = path_uniforms(seed, base_sub + SUB_MIXING, n_paths, 2)
-        amp = np.asarray(law.mixing_from_uniforms(u_mix[:, 0], u_mix[:, 1]), dtype=float)
-        if gamma < 1.0:
-            u_sub = path_uniforms(seed, base_sub + SUB_SUBORDINATOR, n_paths, 2)
-            eta1 = stable_onesided_from_uniforms(u_sub[:, 0], u_sub[:, 1], gamma)
-            cal_a = amp ** (1.0 / gamma) * eta1
-        else:
-            cal_a = amp
+        cal_a = _combined_amplitude(law, gamma, n_paths, seed, base_sub)
         scale = cal_a * t**k
         u_g = path_uniforms(seed, base_sub + SUB_GAUSSIAN, n_paths, 1)
         z = ndtri(_clip_open(u_g[:, 0]))
@@ -758,23 +710,12 @@ def solve_doss_sussmann(
 # time stretching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StretchedLaw:
-    """Time-change law of the stretched equation: A_kappa(tau) = A(g(tau))."""
-
-    base: object
-    stretch: StretchFn
-
-
 def stretch_solution(problem: FKProblem, stretch: StretchFn) -> FKProblem:
     """Problem whose kernel is the time-stretched kernel and whose
     solution at tau equals the base solution at g(tau)."""
-    base_law = problem.law if problem.law is not None else derive_time_change_law(
-        problem.kernel, [p[0] for p in problem.eval_points]
-    )
     return replace(
         problem,
         kernel=time_stretch_kernel(problem.kernel, stretch),
-        law=StretchedLaw(base=base_law, stretch=stretch),
+        law=StretchedLaw(base=_time_change_law(problem), stretch=stretch),
         representation="path",
     )

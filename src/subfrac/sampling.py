@@ -20,8 +20,14 @@ One stream is evaluated two ways, with the same bits:
   work.
 
 Batch generation consumes a fixed number of uniforms per path and maps
-them through inverse CDFs (scipy.special.ndtri for normals), so scalar
-and batched sampling produce identical numbers for the same seed.
+them through inverse CDFs (scipy.special.ndtri for normals).  Each random
+variable of the Feynman-Kac formulae has one array function over a path
+range: the time change A(t) (``time_change_draws``), the stable amplitude
+(``A_stable_mixing_draws``), the combined amplitude A^{1/gamma} eta_1
+(``scriptA_draws``) and the subordinated time eta^f
+(``subordinator_draws``).  The solvers, ``subfrac sample`` and the scalar
+``sample_*`` helpers (the n = 1 row) all call it, so they agree bit for
+bit for the same seed, substream and path.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
+from .kernels import StretchFn
 from .phi import TimeLawCDF
 
 __all__ = [
@@ -48,8 +55,8 @@ __all__ = [
     "NumericCDFLaw",
     "PathGrid",
     "SeedSpec",
+    "StretchedLaw",
     "fbm_paths_batch",
-    "draw_subordinated_time",
     "first_passage",
     "inverse_passage_batch",
     "mixing_from_uniforms",
@@ -66,6 +73,7 @@ __all__ = [
     "stable_onesided_from_uniforms",
     "stable_subordinator_draws",
     "stable_symmetric_from_uniforms",
+    "subordinator_draws",
     "time_change_draws",
 ]
 
@@ -222,71 +230,69 @@ def stable_symmetric_from_uniforms(u1, u2, delta: float):
     )
 
 
-# The *_draws functions give the scalar helpers' draws for paths start ..
-# start + n_paths - 1 from one pass of the uniform engine.  They transform
-# row by row in numpy-scalar arithmetic, as the helpers do: numpy's vector
-# power rounds differently from the scalar one in the last bit.
+# The *_draws functions are the only draws of their random variables, for
+# paths start .. start + n_paths - 1 in one array pass; the solvers call
+# them, and the scalar sample_* helpers are their n = 1 row.  The array
+# transforms round alike at every batch size, so a row never depends on
+# the batch it came in.
 
 def stable_subordinator_draws(
     gamma: float, t: float, master_seed: int, n_paths: int, start: int = 0
-) -> list[float]:
+) -> np.ndarray:
     """Draws of the gamma-stable subordinator at time t:
     E[e^{-lam eta_t}] = e^{-t lam^gamma}; gamma = 1 is the identity."""
+    bern = BernsteinSpec.stable_power(gamma)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if gamma == 1.0:
-        return [float(t)] * n_paths
-    u = path_uniforms(master_seed, SUB_SUBORDINATOR, n_paths, 2, start)
-    scale = t ** (1.0 / gamma)
-    return [float(scale * stable_onesided_from_uniforms(a, b, gamma)) for a, b in u]
+    return subordinator_draws(bern, t, master_seed, n_paths, start)
 
 
 def sample_stable_subordinator(gamma: float, t: float, seed: SeedSpec) -> float:
     """One draw of stable_subordinator_draws."""
-    return stable_subordinator_draws(gamma, t, seed.master_seed, 1, seed.stream_id)[0]
-
-
-def A_stable_mixing_draws(
-    beta: float, master_seed: int, n_paths: int, start: int = 0
-) -> list[float]:
-    """Draws of the nonnegative amplitude with Laplace transform E_beta(-.),
-    realized as eta^{-beta} for a standard beta-stable draw eta."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    if beta == 1.0:
-        return [1.0] * n_paths
-    u = path_uniforms(master_seed, SUB_MIXING, n_paths, 2, start)
-    return [float(stable_onesided_from_uniforms(a, b, beta) ** (-beta)) for a, b in u]
-
-
-def sample_A_stable_mixing(beta: float, seed: SeedSpec) -> float:
-    """One draw of A_stable_mixing_draws."""
-    return A_stable_mixing_draws(beta, seed.master_seed, 1, seed.stream_id)[0]
+    return float(stable_subordinator_draws(gamma, t, seed.master_seed, 1, seed.stream_id)[0])
 
 
 def mixing_from_uniforms(u1, u2, beta: float):
+    """The amplitude with Laplace transform E_beta(-.), realized as
+    eta^{-beta} for a standard beta-stable draw eta."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
     if beta == 1.0:
         return np.ones_like(np.asarray(u1, dtype=float))
     return stable_onesided_from_uniforms(u1, u2, beta) ** (-beta)
 
 
+def A_stable_mixing_draws(
+    beta: float, master_seed: int, n_paths: int, start: int = 0
+) -> np.ndarray:
+    """Draws of the amplitude of mixing_from_uniforms."""
+    u = path_uniforms(master_seed, SUB_MIXING, n_paths, 2, start)
+    return mixing_from_uniforms(u[:, 0], u[:, 1], beta)
+
+
+def sample_A_stable_mixing(beta: float, seed: SeedSpec) -> float:
+    """One draw of A_stable_mixing_draws."""
+    return float(A_stable_mixing_draws(beta, seed.master_seed, 1, seed.stream_id)[0])
+
+
 def scriptA_draws(
-    gamma: float, a_draws, master_seed: int, start: int = 0
-) -> list[float]:
-    """Draws of the combined amplitude A^{1/gamma} * eta_1 splitting the
-    randomness of the subordinated time change from its t-dependence,
-    given the draws of A for paths start, start + 1, ..."""
-    if gamma == 1.0:
-        return [float(a) for a in a_draws]
-    eta1 = stable_subordinator_draws(gamma, 1.0, master_seed, len(a_draws), start)
-    return [float(a ** (1.0 / gamma) * e) for a, e in zip(a_draws, eta1)]
+    gamma: float, a_draws, master_seed: int, start: int = 0,
+    substream: int = SUB_SUBORDINATOR,
+) -> np.ndarray:
+    """Draws of the combined amplitude A^{1/gamma} * eta_1, the gamma-stable
+    subordinator at the time A, which splits the randomness of the
+    subordinated time change from its t-dependence; a_draws holds A for
+    paths start, start + 1, ..."""
+    a = np.asarray(a_draws, dtype=float)
+    bern = BernsteinSpec.stable_power(gamma)
+    return subordinator_draws(bern, a, master_seed, a.size, start, substream)
 
 
 def sample_scriptA(
     gamma: float, a_sampler: Callable[[SeedSpec], float], seed: SeedSpec
 ) -> float:
     """One draw of scriptA_draws, with A drawn by a_sampler(seed)."""
-    return scriptA_draws(gamma, [a_sampler(seed)], seed.master_seed, seed.stream_id)[0]
+    return float(scriptA_draws(gamma, [a_sampler(seed)], seed.master_seed, seed.stream_id)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +318,7 @@ class BernsteinSpec:
         if self.kind not in ("identity", "stable_power", "drift_plus_stable_sum"):
             raise ValueError(f"unknown Bernstein form {self.kind!r}")
         if self.kind == "stable_power" and not 0.0 < self.gamma <= 1.0:
-            raise ValueError("stable_power requires gamma in (0, 1]")
+            raise ValueError("gamma must lie in (0, 1]")
         if self.kind == "drift_plus_stable_sum":
             if self.drift < 0:
                 raise ValueError("drift must be nonnegative")
@@ -349,11 +355,12 @@ class BernsteinSpec:
             acc = acc + w * lam**e
         return acc
 
-    def increments_from_uniforms(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Subordinator increments over steps of length dt; u has shape
-        (..., n_steps, 2 * n_stable_terms)."""
+    def increments_from_uniforms(self, u: np.ndarray, dt) -> np.ndarray:
+        """Subordinator increments over times dt (a number, or an array that
+        broadcasts against u's leading axes); u has shape
+        (..., 2 * n_stable_terms)."""
         if self.kind == "identity":
-            return np.full(u.shape[:-1], dt)
+            return np.full(u.shape[:-1], dt, dtype=float)
         if self.kind == "stable_power":
             draw = stable_onesided_from_uniforms(u[..., 0], u[..., 1], self.gamma)
             return dt ** (1.0 / self.gamma) * draw
@@ -374,19 +381,13 @@ class BernsteinSpec:
         return len(self.terms)
 
 
-def draw_subordinated_time(bern: BernsteinSpec, tau, u: np.ndarray):
-    """eta^f at independent times tau (one draw per row of u)."""
-    tau = np.asarray(tau, dtype=float)
-    if bern.kind == "identity":
-        return tau
-    if bern.kind == "stable_power":
-        draw = stable_onesided_from_uniforms(u[..., 0], u[..., 1], bern.gamma)
-        return tau ** (1.0 / bern.gamma) * draw
-    acc = bern.drift * tau
-    for j, (w, e) in enumerate(bern.terms):
-        draw = stable_onesided_from_uniforms(u[..., 2 * j], u[..., 2 * j + 1], e)
-        acc = acc + (w * tau) ** (1.0 / e) * draw
-    return acc
+def subordinator_draws(
+    bern: BernsteinSpec, tau, master_seed: int, n_paths: int, start: int = 0,
+    substream: int = SUB_SUBORDINATOR,
+) -> np.ndarray:
+    """Draws of eta^f at the times tau (a number, or one time per path)."""
+    u = path_uniforms(master_seed, substream, n_paths, 2 * bern.n_stable_terms, start)
+    return bern.increments_from_uniforms(u, tau)
 
 
 # -- time-change laws -------------------------------------------------------
@@ -397,7 +398,6 @@ class HomogeneousProductLaw:
 
     theta: float
     mixing_from_uniforms: Callable  # (u1, u2) -> draws of A
-    uniforms_needed: int = 2
 
     def sample_from_uniforms(self, t: float, u: np.ndarray):
         return self.mixing_from_uniforms(u[..., 0], u[..., 1]) * t**self.theta
@@ -429,6 +429,14 @@ class NumericCDFLaw:
     def sample_from_uniforms(self, t: float, u: np.ndarray):
         cdf = self.cdf_for_t(t)
         return cdf.quantile(u[..., 0])
+
+
+@dataclass(frozen=True)
+class StretchedLaw:
+    """Time-change law of the stretched equation: A_kappa(tau) = A(g(tau))."""
+
+    base: object
+    stretch: StretchFn
 
 
 def _passage_scale(bern: BernsteinSpec, t: float) -> float:
@@ -551,28 +559,32 @@ def inverse_passage_batch(
 
 
 def time_change_draws(
-    law, t: float, master_seed: int, n_paths: int, start: int = 0
-) -> list[float]:
+    law, t: float, master_seed: int, n_paths: int, start: int = 0,
+    substream: int = SUB_MIXING,
+) -> np.ndarray:
     """Draws of the time change A(t); A(0) = 0 almost surely."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
-        return [0.0] * n_paths
+        return np.zeros(n_paths)
+    if isinstance(law, StretchedLaw):
+        return time_change_draws(
+            law.base, law.stretch.g(t), master_seed, n_paths, start, substream
+        )
     if isinstance(law, (HomogeneousProductLaw, NumericCDFLaw)):
-        k = law.uniforms_needed if isinstance(law, HomogeneousProductLaw) else 1
-        u = path_uniforms(master_seed, SUB_MIXING, n_paths, k, start)
-        return [float(law.sample_from_uniforms(t, row)) for row in u]
+        u = path_uniforms(master_seed, substream, n_paths, 2, start)
+        return np.asarray(law.sample_from_uniforms(t, u), dtype=float)
     if isinstance(law, InverseSubordinatorLaw):
         return inverse_passage_batch(
-            law.bernstein, t, n_paths, master_seed, steps_per_unit=law.steps_per_unit,
-            max_chunks=law.max_chunks, start=start,
-        ).tolist()
+            law.bernstein, t, n_paths, master_seed, substream, law.steps_per_unit,
+            law.max_chunks, start,
+        )
     raise TypeError(f"unknown time-change law {type(law).__name__}")
 
 
 def sample_time_change(law, t: float, seed: SeedSpec) -> float:
     """One draw of time_change_draws."""
-    return time_change_draws(law, t, seed.master_seed, 1, seed.stream_id)[0]
+    return float(time_change_draws(law, t, seed.master_seed, 1, seed.stream_id)[0])
 
 
 # ---------------------------------------------------------------------------

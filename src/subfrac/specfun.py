@@ -534,7 +534,12 @@ def mwright_density(beta: float, z: float, tol: SeriesTolerance = DEFAULT_TOL) -
             return max(res.value, 0.0)
     dps = int(peak) + 25
     if dps <= _DPS_CAP:
-        return max(_mwright_mp(beta, z, dps), 0.0)
+        value = _mwright_mp(beta, z, dps)
+        # the sum is off by about 0.1 * 10^(peak - dps), a relative error
+        # of 1e-4 at 10^3 times that floor; below it the asymptote (within
+        # 1e-3 in the far tail) is the more accurate value
+        if value >= 10.0 ** (peak - dps + 3):
+            return value
     return _mwright_asymptotic(beta, z)
 
 

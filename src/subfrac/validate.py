@@ -52,7 +52,7 @@ from .sampling import (
     BernsteinSpec,
     mixing_from_uniforms,
     path_uniforms,
-    stable_onesided_from_uniforms,
+    scriptA_draws,
 )
 from .specfun import MLParams, appell_f3, mittag_leffler, prabhakar
 
@@ -213,11 +213,8 @@ def criterion_mixing_laws(budget: Budget) -> CriterionResult:
             dev = abs(np.mean(w) - mittag_leffler(beta, -lam)) / se
             worst = max(worst, dev)
     details.append(f"amplitude transform worst dev {worst:.2f} se")
-    us = path_uniforms(budget.seed, 1, n, 2)
     gamma = 0.5
-    amp = mixing_from_uniforms(u[:, 0], u[:, 1], 0.6)
-    eta = stable_onesided_from_uniforms(us[:, 0], us[:, 1], gamma)
-    cal_a = amp ** (1.0 / gamma) * eta
+    cal_a = scriptA_draws(gamma, mixing_from_uniforms(u[:, 0], u[:, 1], 0.6), budget.seed)
     for lam in (0.5, 1.0, 2.0):
         w = np.exp(-lam * cal_a)
         se = np.std(w, ddof=1) / math.sqrt(n)

@@ -238,6 +238,11 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "(beta_j, b_j) pairs" in err and "got 4 parameters" in err
 
+    @pytest.mark.parametrize("dist", ["stable", "script_a"])
+    def test_sample_gamma_zero_rejected(self, capsys, dist):
+        assert main(["sample", "--dist", dist, "--gamma", "0", "--paths", "3"]) == EXIT_SCHEMA
+        assert "invalid input: gamma must lie in (0, 1]" in capsys.readouterr().err
+
     def test_sample_negative_paths_rejected(self, capsys):
         assert main(["sample", "--dist", "mixing", "--paths", "-3"]) == EXIT_SCHEMA
         assert "--paths must be nonnegative" in capsys.readouterr().err

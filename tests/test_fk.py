@@ -30,7 +30,6 @@ from subfrac.fk import (
     solve,
     solve_doss_sussmann,
     stretch_solution,
-    _draw_time_changes,
     _pathwise_values,
 )
 from subfrac.kernels import CACHE_SIZE, ConvPowerSumKernel, FractionalPowerKernel, GGBMKernel, StretchFn
@@ -39,6 +38,7 @@ from subfrac.sampling import (
     BernsteinSpec,
     path_uniforms,
     stable_symmetric_from_uniforms,
+    time_change_draws,
 )
 
 SEED = 31415
@@ -81,7 +81,7 @@ class TestDispatchAndInvariants:
         # values with potential c equal the bare values times e^{c A(t)}
         prob = ggbm_problem()
         law = derive_time_change_law(prob.kernel, [1.0])
-        tau = _draw_time_changes(law, 1.0, 2000, SEED, 0)
+        tau = time_change_draws(law, 1.0, SEED, 2000)
         v0 = path_values(prob, (1.0, 0.0), 2000, SEED)
         vc = path_values(
             ggbm_problem(potential=ConstantPotential(-0.3)), (1.0, 0.0), 2000, SEED
@@ -134,15 +134,15 @@ class TestDispatchAndInvariants:
 
         k = MSMKernel(a=2.0, b=1.0, mu=0.5, nu=2.0)
         law = derive_time_change_law(k, [1.0])
-        draws = _draw_time_changes(law, 1.0, 50_000, 77, 0)
+        draws = time_change_draws(law, 1.0, 77, 50_000)
         for lam in (0.5, 1.0, 2.0):
             w = np.exp(-lam * draws)
             se = np.std(w, ddof=1) / math.sqrt(len(w))
             target = phi_closed(k, 1.0, -lam)
             assert abs(np.mean(w) - target) < 4.0 * se + 2e-3  # inversion bias
         # homogeneous product structure is exact pathwise
-        d1 = _draw_time_changes(law, 1.0, 500, 77, 0)
-        d2 = _draw_time_changes(law, 2.0, 500, 77, 0)
+        d1 = time_change_draws(law, 1.0, 77, 500)
+        d2 = time_change_draws(law, 2.0, 77, 500)
         assert np.allclose(d2, d1 * 2.0**k.theta, rtol=1e-12)
 
 

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from subfrac import sampling
 from subfrac.sampling import (
+    SUB_MIXING,
     SUB_SUBORDINATOR,
+    A_stable_mixing_draws,
     BernsteinSpec,
     GridTooCoarse,
     HomogeneousProductLaw,
@@ -31,7 +33,10 @@ from subfrac.sampling import (
     sample_scriptA,
     sample_stable_subordinator,
     sample_time_change,
+    scriptA_draws,
     stable_onesided_from_uniforms,
+    stable_subordinator_draws,
+    time_change_draws,
 )
 from subfrac.specfun import mittag_leffler
 
@@ -317,6 +322,71 @@ class TestScriptA:
             assert sample_scriptA(
                 0.7, lambda s: sample_A_stable_mixing(0.5, s), SeedSpec(SEED, i)
             ) >= 0.0
+
+
+class TestHelpersAreRowsOfOneArrayFunction:
+    """The scalar helper at SeedSpec(SEED, i) is row i of its array
+    function, bit for bit, and that function is the array arithmetic of
+    the solvers, on their substreams."""
+
+    N = 2000
+
+    def draws(self, name):
+        """(array function, solver arithmetic, scalar helper) of one variable."""
+        from subfrac.fk import derive_time_change_law
+        from subfrac.kernels import make_kernel
+
+        n = self.N
+        um = path_uniforms(SEED, SUB_MIXING, n, 2)
+        us = path_uniforms(SEED, SUB_SUBORDINATOR, n, 2)
+        if name == "stable":
+            return (
+                stable_subordinator_draws(0.37, 1.3, SEED, n),
+                1.3 ** (1.0 / 0.37) * stable_onesided_from_uniforms(us[:, 0], us[:, 1], 0.37),
+                lambda s: sample_stable_subordinator(0.37, 1.3, s),
+            )
+        if name == "mixing":
+            return (
+                A_stable_mixing_draws(0.63, SEED, n),
+                mixing_from_uniforms(um[:, 0], um[:, 1], 0.63),
+                lambda s: sample_A_stable_mixing(0.63, s),
+            )
+        if name == "script_a":
+            amp = mixing_from_uniforms(um[:, 0], um[:, 1], 0.7)
+            eta1 = stable_onesided_from_uniforms(us[:, 0], us[:, 1], 0.55)
+            return (
+                scriptA_draws(0.55, A_stable_mixing_draws(0.7, SEED, n), SEED),
+                amp ** (1.0 / 0.55) * eta1,
+                lambda s: sample_scriptA(0.55, lambda r: sample_A_stable_mixing(0.7, r), s),
+            )
+        if name == "inverse_subordinator":
+            law = InverseSubordinatorLaw(BernsteinSpec.stable_power(0.5), steps_per_unit=2**10)
+            return (
+                time_change_draws(law, 0.5, SEED, n),
+                inverse_passage_batch(law.bernstein, 0.5, n, SEED, SUB_MIXING, 2**10),
+                lambda s: sample_time_change(law, 0.5, s),
+            )
+        spec = {
+            "ggbm": {"family": "ggbm", "alpha": 0.8, "beta": 0.6},
+            "msm_numeric_cdf": {"family": "msm", "a": 1.5, "b": 1.0, "mu": 0.3, "nu": 1.5},
+        }[name]
+        law = derive_time_change_law(make_kernel(spec), [1.2])
+        return (
+            time_change_draws(law, 1.2, SEED, n),
+            law.sample_from_uniforms(1.2, um),
+            lambda s: sample_time_change(law, 1.2, s),
+        )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["stable", "mixing", "script_a", "ggbm", "msm_numeric_cdf", "inverse_subordinator"],
+    )
+    def test_helper_is_row_of_array_function(self, name):
+        batch, solver, helper = self.draws(name)
+        rows = np.array([helper(SeedSpec(SEED, i)) for i in range(self.N)])
+        assert np.array_equal(rows, solver), f"{np.mean(rows != solver):.1%} of rows differ"
+        assert np.array_equal(batch, solver)
+        assert isinstance(batch, np.ndarray)
 
 
 class TestFBM:

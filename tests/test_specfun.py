@@ -165,6 +165,18 @@ class TestMWright:
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("beta, z", [(0.65, 9.0), (0.6, 12.0), (0.7, 6.0)])
+    def test_far_tail_above_rounding_noise(self, beta, z):
+        # the mpmath sum at 25 digits beyond its largest term rounds to about
+        # 1e-25 here, at or above the density itself
+        ref = mwright_mp_termwise(beta, z, 200)
+        assert abs(mwright_density(beta, z) / ref - 1.0) < 1e-3
+
+    def test_sums_clear_of_the_rounding_floor_unchanged(self):
+        assert mwright_density(0.6, 5.0) == 2.5504528476523863e-05
+        assert mwright_density(0.6, 8.0) == 2.2673977500580678e-15
+        assert mwright_density(0.8, 3.0) == 7.519718544541249e-09
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             mwright_density(1.0, 1.0)
