@@ -16,6 +16,10 @@ representation of the solution:
 Constant-potential problems reuse the zero-potential positions and only
 reweight, so the factorization identity holds exactly path by path under
 shared seeds.
+
+``base_positions`` builds the paths of xi and ``sampling.rsgp_paths`` the
+scaled-Gaussian paths; the scalar path helpers of ``sampling`` are their
+n = 1 rows.
 """
 
 from __future__ import annotations
@@ -38,15 +42,14 @@ from .sampling import (
     SUB_SUBORDINATOR,
     BernsteinSpec,
     HomogeneousProductLaw,
-    InvalidHurst,
     InverseSubordinatorLaw,
     NumericCDFLaw,
     PathGrid,
     StretchedLaw,
     _clip_open,
-    fbm_paths_batch,
     mixing_from_uniforms,
     path_uniforms,
+    rsgp_paths,
     scriptA_draws,
     stable_symmetric_from_uniforms,
     subordinator_draws,
@@ -68,6 +71,7 @@ __all__ = [
     "StepCountInsufficient",
     "StretchedLaw",
     "ZeroPotential",
+    "base_positions",
     "derive_time_change_law",
     "doss_sussmann_flow",
     "flow_map",
@@ -78,6 +82,7 @@ __all__ = [
 ]
 
 _ROLE_STRIDE = 8  # substream ids per evaluation point when paths are independent
+_MAX_FLOW_NODES = 2**20  # flow-map trajectory nodes; bounds the Python RK4 loop
 
 
 class RsgpScopeError(ValueError):
@@ -86,7 +91,9 @@ class RsgpScopeError(ValueError):
 
 
 class StepCountInsufficient(RuntimeError):
-    """Richardson estimate of the flow ODE error above tolerance."""
+    """Richardson estimate of the flow ODE error above tolerance, or a
+    flow-map span that would need more than _MAX_FLOW_NODES trajectory
+    nodes."""
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +398,11 @@ def flow_map(sigma: Callable, y_values, x: float, nodes_per_unit: int = 512) -> 
     y_hi = max(float(np.max(y_values)), 0.0)
     span = max(y_hi - y_lo, 1e-9)
     n = int(max(1024, math.ceil(span * nodes_per_unit))) + 1
+    if n > _MAX_FLOW_NODES:
+        raise StepCountInsufficient(
+            f"flow map over the driver span [{y_lo:.6g}, {y_hi:.6g}] needs {n} nodes, "
+            f"above the bound of {_MAX_FLOW_NODES}"
+        )
 
     def run(direction: float, length: float, n_steps: int) -> np.ndarray:
         out = np.empty(n_steps + 1)
@@ -440,25 +452,38 @@ def _combined_amplitude(law, gamma, n_paths, master_seed, base_sub, start=0):
     return scriptA_draws(gamma, amp, master_seed, start, base_sub + SUB_SUBORDINATOR)
 
 
+def base_positions(
+    base, x: float, times, master_seed: int, start: int = 0, substream: int = SUB_GAUSSIAN
+) -> np.ndarray:
+    """(n, K) positions of the base process started at x, row i at the
+    increasing times times[i] of path start + i.  Brownian and stable
+    increments are exact in law; the flow case maps the exact Brownian
+    driver through ``flow_map``, so no Euler bias enters it."""
+    times = np.asarray(times, dtype=float)
+    n, k = times.shape
+    dt = np.diff(times, axis=1, prepend=0.0)
+    if isinstance(base, StableLevy):
+        u = path_uniforms(master_seed, substream, n, 2 * k, start)
+        s = stable_symmetric_from_uniforms(u[:, ::2], u[:, 1::2], base.delta)
+        return x + np.cumsum(2.0 ** (-0.5) * dt ** (1.0 / base.delta) * s, axis=1)
+    if not isinstance(base, (BrownianDrift, DossSussmann)):
+        raise TypeError(f"unknown base process {type(base).__name__}")
+    z = ndtri(_clip_open(path_uniforms(master_seed, substream, n, k, start)))
+    if isinstance(base, DossSussmann):
+        driver = np.cumsum(np.sqrt(dt) * z, axis=1) + base.w * times
+        return flow_map(base.sigma, driver, x)
+    return x + np.cumsum(base.w * dt + np.sqrt(dt) * z, axis=1)
+
+
 def _marginal_positions(problem: FKProblem, tau, x, master_seed, base_sub, start=0):
     """Positions xi_tau for independent per-path clocks tau (no potential
     path integral needed)."""
-    n = len(tau)
     base = problem.process.base
     if isinstance(base, BrownianDrift):
-        u = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, n, 1, start)
-        z = ndtri(_clip_open(u[:, 0]))
-        return x + base.w * tau + np.sqrt(tau) * z
-    if isinstance(base, StableLevy):
-        u = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, n, 2, start)
-        s = stable_symmetric_from_uniforms(u[:, 0], u[:, 1], base.delta)
-        return x + 2.0 ** (-0.5) * tau ** (1.0 / base.delta) * s
-    if isinstance(base, DossSussmann):
-        u = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, n, 1, start)
-        z = ndtri(_clip_open(u[:, 0]))
-        driver = np.sqrt(tau) * z + base.w * tau
-        return flow_map(base.sigma, driver, x)
-    raise TypeError(f"unknown base process {type(base).__name__}")
+        # x + w tau + sqrt(tau) z, the addition order the Brownian solves keep
+        u = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, len(tau), 1, start)
+        return x + base.w * tau + np.sqrt(tau) * ndtri(_clip_open(u[:, 0]))
+    return base_positions(base, x, tau[:, None], master_seed, start, base_sub + SUB_GAUSSIAN)[:, 0]
 
 
 def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_steps, start=0):
@@ -466,25 +491,11 @@ def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_
     potential along simulated paths, all paths in one (n, grid_steps + 1)
     array: the midpoints, then tau itself."""
     n = len(tau)
-    base = problem.process.base
     m = grid_steps
-    stable = isinstance(base, StableLevy)
-    k = (m + 1) * (2 if stable else 1)
-    u = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, n, k, start)
     times = np.empty((n, m + 1))
     times[:, :m] = tau[:, None] * ((np.arange(m) + 0.5) / m)
     times[:, m] = tau
-    dt = np.diff(times, axis=1, prepend=0.0)
-    if stable:
-        s = stable_symmetric_from_uniforms(u[:, ::2], u[:, 1::2], base.delta)
-        pos = x + np.cumsum(2.0 ** (-0.5) * dt ** (1.0 / base.delta) * s, axis=1)
-    elif isinstance(base, DossSussmann):
-        z = ndtri(_clip_open(u))
-        driver = np.cumsum(np.sqrt(dt) * z, axis=1) + base.w * times
-        pos = flow_map(base.sigma, driver, x)
-    else:
-        z = ndtri(_clip_open(u))
-        pos = x + np.cumsum(base.w * dt + np.sqrt(dt) * z, axis=1)
+    pos = base_positions(problem.process.base, x, times, master_seed, start, base_sub + SUB_GAUSSIAN)
     integral = np.sum(problem.potential.fn(pos[:, :-1]) * (tau / m)[:, None], axis=1)
     # exp in libm arithmetic: numpy's vector exp rounds differently from it
     # in the last bit for about 5% of arguments
@@ -494,47 +505,20 @@ def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_
 
 
 def _rsgp_values(problem: FKProblem, law, t, x, n_paths, master_seed, base_sub, rsgp_steps=64, start=0):
-    """Values under the randomly scaled Gaussian representations."""
-    theta = problem.kernel.theta
+    """Values under the randomly scaled Gaussian representations: the
+    final column of their paths on [0, t]."""
     gamma = problem.gamma
-    k = theta / gamma
-    w = problem.process.base.w
+    k = problem.kernel.theta / gamma
     c = problem.potential.c if isinstance(problem.potential, ConstantPotential) else 0.0
-    if isinstance(law, StretchedLaw):
-        raise RsgpScopeError("scaled-Gaussian representations need the plain product law")
     if not isinstance(law, HomogeneousProductLaw):
         raise RsgpScopeError("scaled-Gaussian representations need the product-form law")
     cal_a = _combined_amplitude(law, gamma, n_paths, master_seed, base_sub, start)
-    scale = cal_a * t**k
-    kind = problem.representation
-    nodes = np.linspace(0.0, t, rsgp_steps + 1)
-    if kind in ("timechanged_bm", "scaled_bm"):
-        u_g = path_uniforms(master_seed, base_sub + SUB_GAUSSIAN, n_paths, rsgp_steps, start)
-        z = ndtri(_clip_open(u_g))
-    if kind == "timechanged_bm":
-        tau = scale[:, None] * (nodes / t) ** k if t > 0 else np.zeros((n_paths, rsgp_steps + 1))
-        inc = np.sqrt(np.diff(tau, axis=1)) * z
-        x_final = np.sum(inc, axis=1)
-    elif kind == "scaled_bm":
-        s = nodes**k
-        inc = np.sqrt(np.diff(s))[None, :] * z
-        x_final = np.sqrt(cal_a) * np.sum(inc, axis=1)
-    elif kind == "scaled_fbm":
-        H = theta / (2.0 * gamma)
-        if not 0.0 < H < 1.0:
-            raise InvalidHurst(
-                f"theta/(2 gamma) = {H:g} outside (0,1); scaled-fBM "
-                "representation unavailable"
-            )
-        paths = fbm_paths_batch(
-            H, PathGrid(horizon=max(t, 1e-12), n_steps=rsgp_steps), master_seed,
-            n_paths, substream=base_sub + SUB_GAUSSIAN, start=start,
-        )
-        x_final = np.sqrt(cal_a) * paths[:, -1]
-    else:
-        raise RsgpScopeError(f"unknown representation {kind!r}")
-    positions = x + x_final + cal_a * w * t**k
-    return problem.u0(positions) * np.exp(c * scale)
+    x_final = rsgp_paths(
+        problem.representation, cal_a, gamma, problem.kernel.theta, PathGrid(t, rsgp_steps),
+        master_seed, start, base_sub + SUB_GAUSSIAN,
+    )[:, -1]
+    positions = x + x_final + cal_a * problem.process.base.w * t**k
+    return problem.u0(positions) * np.exp(c * (cal_a * t**k))
 
 
 def path_values(
@@ -655,6 +639,8 @@ def solve_doss_sussmann(
     computed from the same draws; their difference must vanish within
     Monte Carlo error (they are related by a Gaussian change of variables).
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
     base = problem.process.base
     if not isinstance(base, DossSussmann):
         raise ValueError("solve_doss_sussmann needs a DossSussmann base process")

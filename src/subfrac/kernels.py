@@ -149,7 +149,6 @@ class MemoryKernel:
 
     family: str = "abstract"
     theta: float | None = None  # homogeneity degree is theta - 1 when present
-    nonnegative: bool = True
 
     # -- evaluation -------------------------------------------------------
     def eval(self, t: float, s):
@@ -467,7 +466,6 @@ class TimeStretchedKernel(MemoryKernel):
         if self.base.theta is not None and self.stretch.power is not None:
             th = self.stretch.power * self.base.theta
         object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "nonnegative", self.base.nonnegative)
 
     def eval(self, t, s):
         s = np.asarray(s, dtype=float)
@@ -504,12 +502,10 @@ class CustomKernel(MemoryKernel):
     theta_value: float | None = None
     p_zero: float = 0.0
     p_end: float = 0.0
-    nonneg: bool = True
     family: str = field(default="custom", init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", self.theta_value)
-        object.__setattr__(self, "nonnegative", self.nonneg)
 
     def eval(self, t, s):
         return np.asarray(self.fn(t, np.asarray(s, dtype=float)), dtype=float)

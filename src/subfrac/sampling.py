@@ -27,7 +27,10 @@ range: the time change A(t) (``time_change_draws``), the stable amplitude
 (``scriptA_draws``) and the subordinated time eta^f
 (``subordinator_draws``).  The solvers, ``subfrac sample`` and the scalar
 ``sample_*`` helpers (the n = 1 row) all call it, so they agree bit for
-bit for the same seed, substream and path.
+bit for the same seed, substream and path.  Paths follow the same rule:
+``rsgp_paths`` builds the randomly scaled Gaussian paths and
+``fk.base_positions`` the base Markov paths, and ``sample_rsgp_path`` and
+``sample_markov_path`` are their n = 1 rows.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ __all__ = [
     "mixing_from_uniforms",
     "path_rng",
     "path_uniforms",
+    "rsgp_paths",
     "sample_A_stable_mixing",
     "sample_fbm_path",
     "sample_markov_path",
@@ -90,7 +94,8 @@ class GridTooCoarse(RuntimeError):
 
 
 class InvalidHurst(ValueError):
-    """theta/(2 gamma) outside (0,1) for the scaled-fBM representation."""
+    """Hurst parameter outside (0, 1); the scaled-fBM representation has
+    H = theta/(2 gamma)."""
 
 
 @dataclass(frozen=True)
@@ -179,11 +184,6 @@ def path_uniforms(
         )
         u[g0 : g0 + g.size] = (words >> np.uint64(11)) * 2.0**-53
     return np.ascontiguousarray(u.reshape(n_paths, 4 * n_blocks)[:, :k])
-
-
-def _uniforms(seed: SeedSpec, substream: int, k: int) -> np.ndarray:
-    """The first k uniforms of one path's stream."""
-    return path_uniforms(seed.master_seed, substream, 1, k, seed.stream_id)[0]
 
 
 def _clip_open(u: np.ndarray) -> np.ndarray:
@@ -412,11 +412,7 @@ class InverseSubordinatorLaw:
     max_chunks: int = 64
 
     def __post_init__(self) -> None:
-        if self.bernstein.is_identity:
-            return
-        if self.bernstein.kind == "stable_power":
-            return
-        if self.bernstein.kind != "drift_plus_stable_sum" or not self.bernstein.terms:
+        if self.bernstein.kind == "drift_plus_stable_sum" and not self.bernstein.terms:
             raise ValueError("inverse-subordinator law needs a simulable Bernstein form")
 
 
@@ -632,7 +628,7 @@ def fbm_paths_batch(
     same fixed uniform layout per path.
     """
     if not 0.0 < H < 1.0:
-        raise InvalidHurst("Hurst parameter must lie in (0, 1)")
+        raise InvalidHurst(f"Hurst parameter H = {H:g} must lie in (0, 1)")
     n = grid.n_steps
     dt = grid.horizon / n
     u = path_uniforms(master_seed, substream, n_paths, 2 * n, start)
@@ -671,74 +667,55 @@ def sample_fbm_path(H: float, grid: PathGrid, seed: SeedSpec) -> np.ndarray:
     return fbm_paths_batch(H, grid, seed.master_seed, 1, start=seed.stream_id)[0]
 
 
-def sample_rsgp_path(
-    kind: str,
-    cal_a: float,
-    gamma: float,
-    theta: float,
-    grid: PathGrid,
-    seed: SeedSpec,
+def rsgp_paths(
+    kind: str, cal_a, gamma: float, theta: float, grid: PathGrid, master_seed: int,
+    start: int = 0, substream: int = SUB_GAUSSIAN,
 ) -> np.ndarray:
-    """Path of the randomly scaled Gaussian representation, conditioned on
-    the supplied amplitude draw.
+    """(n, n_steps+1) paths of the randomly scaled Gaussian representation,
+    row i from the stream of path start + i, conditioned on its amplitude
+    cal_a[i].
 
     kind: 'timechanged_bm'  B at the transformed times  a * t^{theta/gamma},
           'scaled_bm'       sqrt(a) * B at times t^{theta/gamma},
           'scaled_fbm'      sqrt(a) * fractional Brownian path, Hurst
                             H = theta/(2 gamma).
     """
-    if cal_a < 0:
+    cal_a = np.asarray(cal_a, dtype=float)
+    if np.any(cal_a < 0):
         raise ValueError("amplitude must be nonnegative")
-    k = theta / gamma
-    nodes = grid.nodes
-    if kind == "timechanged_bm":
-        tau = cal_a * nodes**k
-        z = ndtri(_clip_open(_uniforms(seed, SUB_GAUSSIAN, grid.n_steps)))
-        inc = np.sqrt(np.diff(tau)) * z
-        return np.concatenate([[0.0], np.cumsum(inc)])
-    if kind == "scaled_bm":
-        s = nodes**k
-        z = ndtri(_clip_open(_uniforms(seed, SUB_GAUSSIAN, grid.n_steps)))
-        inc = np.sqrt(np.diff(s)) * z
-        return math.sqrt(cal_a) * np.concatenate([[0.0], np.cumsum(inc)])
+    n = cal_a.size
     if kind == "scaled_fbm":
-        H = theta / (2.0 * gamma)
-        if not 0.0 < H < 1.0:
-            raise InvalidHurst(
-                f"theta/(2 gamma) = {H:g} outside (0,1); scaled-fBM "
-                "representation unavailable"
-            )
-        return math.sqrt(cal_a) * sample_fbm_path(H, grid, seed)
-    raise ValueError(f"unknown representation kind {kind!r}")
+        paths = fbm_paths_batch(theta / (2.0 * gamma), grid, master_seed, n, substream, start)
+    elif kind in ("timechanged_bm", "scaled_bm"):
+        s = grid.nodes ** (theta / gamma)
+        clock = cal_a[:, None] * s if kind == "timechanged_bm" else s
+        z = ndtri(_clip_open(path_uniforms(master_seed, substream, n, grid.n_steps, start)))
+        paths = np.empty((n, grid.n_steps + 1))
+        paths[:, 0] = 0.0
+        np.cumsum(np.sqrt(np.diff(clock, axis=-1)) * z, axis=1, out=paths[:, 1:])
+    else:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    if kind != "timechanged_bm":
+        paths *= np.sqrt(cal_a)[:, None]
+    return paths
+
+
+def sample_rsgp_path(
+    kind: str, cal_a: float, gamma: float, theta: float, grid: PathGrid, seed: SeedSpec
+) -> np.ndarray:
+    """One path of rsgp_paths."""
+    return rsgp_paths(kind, [cal_a], gamma, theta, grid, seed.master_seed, seed.stream_id)[0]
 
 
 def sample_markov_path(
     model, horizon: float, grid: PathGrid, seed: SeedSpec, x0: float = 0.0
 ) -> np.ndarray:
-    """Path of the base Markov process on the grid rescaled to ``horizon``.
+    """Path of the base Markov process on the grid rescaled to ``horizon``:
+    x0, then one row of ``fk.base_positions`` at the later nodes."""
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    from .fk import base_positions  # deferred: the solver module owns the process models
 
-    Brownian-with-drift and symmetric stable increments are exact in law;
-    the diffusion-with-flow case composes the exact Brownian path with the
-    deterministic flow map, so no Euler bias enters the Brownian
-    coordinate.  ``model`` carries the process-spec fields of the solver
-    module (duck-typed to avoid a circular import).
-    """
-    nodes = grid.nodes * (horizon / grid.horizon)
-    dt = np.diff(nodes)
-    kind = type(model).__name__
-    if kind == "StableLevy":
-        u = _uniforms(seed, SUB_GAUSSIAN, 2 * grid.n_steps).reshape(grid.n_steps, 2)
-        s = stable_symmetric_from_uniforms(u[:, 0], u[:, 1], model.delta)
-        inc = 2.0 ** (-0.5) * dt ** (1.0 / model.delta) * s
-        return x0 + np.concatenate([[0.0], np.cumsum(inc)])
-    z = ndtri(_clip_open(_uniforms(seed, SUB_GAUSSIAN, grid.n_steps)))
-    if kind == "BrownianDrift":
-        inc = model.w * dt + np.sqrt(dt) * z
-        return x0 + np.concatenate([[0.0], np.cumsum(inc)])
-    if kind == "DossSussmann":
-        brownian = np.concatenate([[0.0], np.cumsum(np.sqrt(dt) * z)])
-        driver = brownian + model.w * nodes
-        from .fk import flow_map  # deferred: the solver module owns the flow
-
-        return flow_map(model.sigma, driver, x0)
-    raise TypeError(f"unknown process model {kind}")
+    times = grid.nodes[1:] * (horizon / grid.horizon)
+    row = base_positions(model, x0, times[None, :], seed.master_seed, seed.stream_id)[0]
+    return np.concatenate([[x0], row])

@@ -2,6 +2,7 @@
 representation equivalence, and the diffusion-with-flow consistency."""
 
 import math
+import time
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -380,6 +381,27 @@ class TestDossSussmannSolver:
     def test_requires_flow_base(self):
         with pytest.raises(ValueError):
             solve_doss_sussmann(ggbm_problem(), 100, SEED)
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_too_few_paths_rejected(self, n_paths):
+        prob = ggbm_problem(process=ProcessModel(base=DossSussmann(sigma=lambda z: 2.0, w=0.0)))
+        with pytest.raises(ValueError, match="n_paths must be >= 2"):
+            solve_doss_sussmann(prob, n_paths, SEED)
+
+    def test_heavy_tailed_driver_span_fails_fast(self):
+        # stable-power subordination makes A^{1/gamma} eta_1 heavy-tailed: the
+        # largest of 1500 combined amplitudes (seed 9) is 8.4e5, a flow span
+        # of ~10^8 RK4 steps, so the flow map refuses it before integrating
+        prob = ggbm_problem(
+            process=ProcessModel(
+                base=DossSussmann(sigma=lambda z: 2.0 + np.sin(z), w=0.2),
+                subordination=BernsteinSpec.stable_power(0.6),
+            ),
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(StepCountInsufficient, match="driver span"):
+            solve_doss_sussmann(prob, 1500, 9)
+        assert time.perf_counter() - t0 < 30.0
 
 
 class TestStretch:

@@ -231,7 +231,7 @@ class TestCompleteMonotonicity:
         # f(s/t) = 2 - 3.6 s/t gives c_1 > 0 but c_2 < 0, so the second
         # difference of Phi(t, -.) turns negative near lambda = 0
         bad = CustomKernel(
-            fn=lambda t, s: 2.0 - 3.6 * (s / t), theta_value=1.0, nonneg=False
+            fn=lambda t, s: 2.0 - 3.6 * (s / t), theta_value=1.0
         )
         sp = SeriesPhi(bad, use_homogeneous=False, horizon=1.5, n_max=24)
         rep = check_complete_monotone(sp, 1.0, np.linspace(0.05, 0.8, 12))
@@ -282,7 +282,7 @@ class TestTimeLawCDF:
 
     def test_non_cm_rejected(self):
         bad = CustomKernel(
-            fn=lambda t, s: 2.0 - 3.6 * (s / t), theta_value=1.0, nonneg=False
+            fn=lambda t, s: 2.0 - 3.6 * (s / t), theta_value=1.0
         )
         sp = SeriesPhi(bad, use_homogeneous=False, horizon=1.5, n_max=24)
         with pytest.raises(InversionUnstable):

@@ -464,7 +464,66 @@ class TestRSGP:
             sample_rsgp_path("scaled_fbm", 1.0, 0.5, 1.9, PathGrid(1.0, 8), SeedSpec(SEED, 0))
 
 
+class TestPathHelpersAreRowsOfOneArrayFunction:
+    """sample_markov_path and sample_rsgp_path are the n = 1 rows of
+    fk.base_positions and sampling.rsgp_paths."""
+
+    N, GRID, HORIZON, X0 = 50, PathGrid(2.0, 24), 1.3, 0.4
+
+    def times(self):
+        return np.tile(self.GRID.nodes[1:] * (self.HORIZON / self.GRID.horizon), (self.N, 1))
+
+    def helper_rows(self, base):
+        return [
+            sample_markov_path(base, self.HORIZON, self.GRID, SeedSpec(SEED, i), self.X0)
+            for i in range(self.N)
+        ]
+
+    @pytest.mark.parametrize("name", ["brownian", "stable"])
+    def test_markov_path_is_row_of_base_positions(self, name):
+        from subfrac.fk import BrownianDrift, StableLevy, base_positions
+
+        base = BrownianDrift(0.3) if name == "brownian" else StableLevy(1.2)
+        batch = base_positions(base, self.X0, self.times(), SEED)
+        for i, path in enumerate(self.helper_rows(base)):
+            assert path[0] == self.X0
+            assert np.array_equal(path, np.concatenate([[self.X0], batch[i]]))
+
+    def test_flow_path_is_row_of_base_positions(self):
+        from subfrac.fk import DossSussmann, base_positions
+
+        base = DossSussmann(sigma=lambda z: 1.0 + 0.5 * math.sin(z), w=0.2)
+        times = self.times()
+        batch = base_positions(base, self.X0, times, SEED)
+        for i, path in enumerate(self.helper_rows(base)):
+            assert path[0] == self.X0
+            one = base_positions(base, self.X0, times[:1], SEED, start=i)[0]
+            assert np.array_equal(path[1:], one)
+            # flow_map sizes its trajectory grid from the whole batch's
+            # driver span, so a row of a larger batch agrees to its accuracy
+            assert np.max(np.abs(path[1:] - batch[i])) < 1e-8
+
+    @pytest.mark.parametrize("kind", ["timechanged_bm", "scaled_bm", "scaled_fbm"])
+    def test_rsgp_path_is_row_of_rsgp_paths(self, kind):
+        amps = 0.2 + 0.05 * np.arange(self.N)
+        batch = sampling.rsgp_paths(kind, amps, 0.7, 0.8, self.GRID, SEED)
+        rows = np.array(
+            [
+                sample_rsgp_path(kind, a, 0.7, 0.8, self.GRID, SeedSpec(SEED, i))
+                for i, a in enumerate(amps)
+            ]
+        )
+        assert np.array_equal(rows, batch)
+
+
 class TestMarkovPaths:
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        from subfrac.fk import BrownianDrift
+
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            sample_markov_path(BrownianDrift(0.0), horizon, PathGrid(1.0, 8), SeedSpec(SEED, 0))
+
     def test_brownian_moments(self):
         from subfrac.fk import BrownianDrift
 
