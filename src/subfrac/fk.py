@@ -389,50 +389,43 @@ def flow_map(sigma: Callable, y_values, x: float, nodes_per_unit: int = 512) -> 
 
     All values of the one-dimensional autonomous flow lie on the single
     trajectory through x, so one dense fourth-order integration of that
-    trajectory plus monotone interpolation evaluates the whole batch.
+    trajectory plus monotone interpolation evaluates the whole batch.  The
+    trajectory nodes sit at y = k h, h = 1/nodes_per_unit, for whole k from
+    two past the lowest to two past the highest queried y (and 0), each
+    reached by k steps from y = 0; an interval's interpolant depends only
+    on its own nodes and their neighbours, so every value is the same
+    whatever batch it is queried in.
     """
     y_values = np.asarray(y_values, dtype=float)
     if y_values.size == 0:
         return y_values.copy()
+    h = 1.0 / nodes_per_unit
     y_lo = min(float(np.min(y_values)), 0.0)
     y_hi = max(float(np.max(y_values)), 0.0)
-    span = max(y_hi - y_lo, 1e-9)
-    n = int(max(1024, math.ceil(span * nodes_per_unit))) + 1
+    k_lo = math.floor(y_lo / h) - 2
+    k_hi = math.ceil(y_hi / h) + 2
+    n = k_hi - k_lo + 1
     if n > _MAX_FLOW_NODES:
         raise StepCountInsufficient(
             f"flow map over the driver span [{y_lo:.6g}, {y_hi:.6g}] needs {n} nodes, "
             f"above the bound of {_MAX_FLOW_NODES}"
         )
 
-    def run(direction: float, length: float, n_steps: int) -> np.ndarray:
+    def run(step: float, n_steps: int) -> np.ndarray:
         out = np.empty(n_steps + 1)
         out[0] = x
-        h = direction * length / max(n_steps, 1)
         z = float(x)
         for i in range(n_steps):
             k1 = sigma(z)
-            k2 = sigma(z + 0.5 * h * k1)
-            k3 = sigma(z + 0.5 * h * k2)
-            k4 = sigma(z + h * k3)
-            z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = sigma(z + 0.5 * step * k1)
+            k3 = sigma(z + 0.5 * step * k2)
+            k4 = sigma(z + step * k3)
+            z = z + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out[i + 1] = z
         return out
 
-    n_pos = int(max(2, round(n * (y_hi / span))))
-    n_neg = int(max(2, round(n * (-y_lo / span)))) if y_lo < 0 else 0
-    ys = [np.array([0.0])]
-    zs = [np.array([x], dtype=float)]
-    if y_hi > 0:
-        ys.append(np.linspace(0.0, y_hi, n_pos + 1)[1:])
-        zs.append(run(+1.0, y_hi, n_pos)[1:])
-    if y_lo < 0:
-        ys.append(np.linspace(0.0, y_lo, n_neg + 1)[1:])
-        zs.append(run(-1.0, -y_lo, n_neg)[1:])
-    y_grid = np.concatenate(ys)
-    z_grid = np.concatenate(zs)
-    order = np.argsort(y_grid)
-    ip = PchipInterpolator(y_grid[order], z_grid[order])
-    return ip(y_values)
+    z_grid = np.concatenate((run(-h, -k_lo)[:0:-1], run(h, k_hi)))
+    return PchipInterpolator(np.arange(k_lo, k_hi + 1) * h, z_grid)(y_values)
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,14 @@ class MemoryKernel:
     def is_homogeneous(self) -> bool:
         return self.theta is not None
 
-    def hp_unit_eval(self, s: mp.mpf) -> mp.mpf:
-        """k(1, s) in mpmath arithmetic (homogeneous families only)."""
+    def hp_unit(self):
+        """s -> k(1, s) in mpmath arithmetic at the current precision, with
+        the parameter constants computed once (homogeneous families only)."""
         raise NotImplementedError(f"{self.family} has no high-precision path")
+
+    def hp_unit_eval(self, s: mp.mpf) -> mp.mpf:
+        """k(1, s) in mpmath arithmetic at the current precision."""
+        return self.hp_unit()(s)
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,9 @@ class FractionalPowerKernel(MemoryKernel):
             )
         ]
 
-    def hp_unit_eval(self, s):
-        return (1 - s) ** (mp.mpf(self.beta) - 1) / mp.gamma(mp.mpf(self.beta))
+    def hp_unit(self):
+        e, g = mp.mpf(self.beta) - 1, mp.gamma(mp.mpf(self.beta))
+        return lambda s: (1 - s) ** e / g
 
 
 @dataclass(frozen=True)
@@ -244,10 +250,11 @@ class GGBMKernel(MemoryKernel):
 
         return [SingularPart(p_end=be - 1.0, p_zero=a - 1.0, regular=regular)]
 
-    def hp_unit_eval(self, s):
+    def hp_unit(self):
         a = mp.mpf(self.alpha) / mp.mpf(self.beta)
         c = mp.mpf(self.alpha) / (mp.mpf(self.beta) * mp.gamma(mp.mpf(self.beta)))
-        return c * s ** (a - 1) * (1 - s**a) ** (mp.mpf(self.beta) - 1)
+        a1, b1 = a - 1, mp.mpf(self.beta) - 1
+        return lambda s: c * s**a1 * (1 - s**a) ** b1
 
 
 @dataclass(frozen=True)
@@ -330,16 +337,22 @@ class MSMKernel(MemoryKernel):
             p_zero = b - 1.0
         return [SingularPart(p_end=b / a - 1.0, p_zero=p_zero, regular=_row_by_row(regular))]
 
-    def hp_unit_eval(self, s):
+    def hp_unit(self):
+        if self.nu != self.a and self.mu != 0.0:
+            raise NotImplementedError("general msm has no high-precision path")
         a, b = mp.mpf(self.a), mp.mpf(self.b)
         mu, nu = mp.mpf(self.mu), mp.mpf(self.nu)
         pref = a / mp.gamma(b / a)
-        base = pref * (1 - s**a) ** (b / a - 1) * s ** (nu - 1)
+        e_end, e_zero = b / a - 1, nu - 1
+
+        def base(s):
+            return pref * (1 - s**a) ** e_end * s**e_zero
+
         if self.nu == self.a:
-            return base * s ** (a * mu)
-        if self.mu == 0.0:
-            return base * mp.hyp2f1(nu / a - 1, 1, b / a, 1 - s**a)
-        raise NotImplementedError("general msm has no high-precision path")
+            e_f3 = a * mu
+            return lambda s: base(s) * s**e_f3
+        h1, h3 = nu / a - 1, b / a
+        return lambda s: base(s) * mp.hyp2f1(h1, 1, h3, 1 - s**a)
 
 
 def _validate_conv_exponents(beta: float, betas: Sequence[float], bs: Sequence[float]):

@@ -15,11 +15,11 @@ are Laplace transforms of the nonnegative time-change law, whose CDF is
 recovered here by Gaver-Stehfest inversion.
 
 What does not change inside a loop is computed once: the moment
-recursion evaluates the kernel once per quadrature node (the node values
-of the most recently extended kernel are kept), and a Volterra evaluator
-tabulates its convolution profiles once and keeps only the Phi values on
-its shared solve grid per lam.  Every cache keeps a bounded number of
-entries (``CACHE_SIZE``).
+recursion evaluates the kernel once per quadrature node and its parameter
+constants once per precision (kept for the most recently extended
+kernel), and a Volterra evaluator tabulates its convolution profiles once
+and keeps only the Phi values on its shared solve grid per lam.  Every
+cache keeps a bounded number of entries (``CACHE_SIZE``).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import mpf_exp, mpf_mul
 from scipy.interpolate import PchipInterpolator
 
 from .kernels import (
@@ -133,7 +134,8 @@ def has_closed_form(kernel: MemoryKernel) -> bool:
 _HP_MOMENT_DPS = 40
 _HP_SUM_DPS_CAP = 320
 _HP_CACHE: OrderedDict = OrderedDict()
-# (k(1, s), log s) at the quadrature nodes, for the most recently extended kernel
+# for the most recently extended kernel: its k(1, .) per mpmath precision
+# (constants computed once) and (k(1, s), log s) per quadrature node
 _HP_NODES: dict = {}
 
 
@@ -145,7 +147,9 @@ def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
     At a fixed precision every moment visits the same quadrature nodes, so
     k(1, s) and log s are evaluated once per node and reused for every n:
     mpmath forms a power s^y (2y not an integer) as exp(y log s) with log s
-    at 10 extra bits, so the kept log gives the same bits.
+    at 10 extra bits, so the kept log gives the same bits.  The integrand
+    works on mpmath's raw values with the operations and rounding of
+    ``k * mp.exp(mp.fmul(y, log_s, exact=True))``.
 
     This is a numerical route through the coefficient recursion (not the
     closed forms), so series-vs-closed-form comparisons stay meaningful.
@@ -155,15 +159,17 @@ def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
         return cache
     if kernel not in _HP_NODES:
         _HP_NODES.clear()
-        _HP_NODES[kernel] = {}
-    nodes = _HP_NODES[kernel]
+        _HP_NODES[kernel] = ({}, {})
+    units, nodes = _HP_NODES[kernel]
+    ctx = mp.mp
 
     def at_node(s):
-        v = nodes.get(s)
-        if v is None:
-            with mp.extraprec(10):
-                log_s = mp.log(s)
-            v = nodes[s] = (kernel.hp_unit_eval(s), log_s)
+        unit = units.get(ctx.prec)
+        if unit is None:
+            unit = units[ctx.prec] = kernel.hp_unit()
+        with mp.extraprec(10):
+            log_s = mp.log(s)
+        v = nodes[s._mpf_] = (unit(s)._mpf_, log_s._mpf_)
         return v
 
     with mp.workdps(_HP_MOMENT_DPS):
@@ -171,10 +177,13 @@ def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
         for n in range(len(cache), n_needed + 1):
             y = mp.fmul(th, n - 1, exact=True)
             by_log = not mp.isint(2 * y)  # mpmath powers the others by another route
+            y_raw = y._mpf_
 
             def integrand(s):
-                k, log_s = at_node(s)
-                return k * (mp.exp(mp.fmul(y, log_s, exact=True)) if by_log else s**y)
+                k, log_s = nodes.get(s._mpf_) or at_node(s)
+                prec, rnd = ctx._prec_rounding
+                p = mpf_exp(mpf_mul(y_raw, log_s), prec, rnd) if by_log else (s**y)._mpf_
+                return ctx.make_mpf(mpf_mul(k, p, prec, rnd))
 
             cache.append(cache[-1] * mp.quad(integrand, [0, 1]))
     return cache

@@ -196,7 +196,10 @@ def _clip_open(u: np.ndarray) -> np.ndarray:
 
 def stable_onesided_from_uniforms(u1, u2, gamma: float):
     """Standard one-sided gamma-stable draw with E[e^{-lam X}] = e^{-lam^gamma},
-    from two uniforms (Kanter's representation)."""
+    from two uniforms (Kanter's representation).  The draws whose powers
+    left the float range (gamma near 1) are formed again from
+    log a = log sin((1-gamma) th) + gamma/(1-gamma) log sin(gamma th)
+    - log sin(th)/(1-gamma)."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
     u1 = _clip_open(np.asarray(u1, dtype=float))
@@ -205,12 +208,23 @@ def stable_onesided_from_uniforms(u1, u2, gamma: float):
         return np.ones_like(u1)
     th = u1 * math.pi
     e = -np.log1p(-u2)
-    a = (
-        np.sin((1.0 - gamma) * th)
-        * np.sin(gamma * th) ** (gamma / (1.0 - gamma))
-        / np.sin(th) ** (1.0 / (1.0 - gamma))
-    )
-    return (a / e) ** ((1.0 - gamma) / gamma)
+    with np.errstate(all="ignore"):
+        a = (
+            np.sin((1.0 - gamma) * th)
+            * np.sin(gamma * th) ** (gamma / (1.0 - gamma))
+            / np.sin(th) ** (1.0 / (1.0 - gamma))
+        )
+        x = (a / e) ** ((1.0 - gamma) / gamma)
+    bad = ~(np.isfinite(x) & (x > 0.0))
+    if np.any(bad):
+        x, tb = np.asarray(x), th[bad]
+        log_a = (
+            np.log(np.sin((1.0 - gamma) * tb))
+            + gamma / (1.0 - gamma) * np.log(np.sin(gamma * tb))
+            - np.log(np.sin(tb)) / (1.0 - gamma)
+        )
+        x[bad] = np.exp((1.0 - gamma) / gamma * (log_a - np.log(e[bad])))
+    return x
 
 
 def stable_symmetric_from_uniforms(u1, u2, delta: float):

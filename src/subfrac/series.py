@@ -100,13 +100,13 @@ def sum_series(term_fn, tol: SeriesTolerance = DEFAULT_TOL) -> SeriesResult:
 CACHE_SIZE = 16
 
 
-def lru_get(cache: OrderedDict, key, build):
+def lru_get(cache: OrderedDict, key, build, size: int = CACHE_SIZE):
     """cache[key], built by ``build()`` on a miss; the cache keeps its
-    CACHE_SIZE most recently used entries."""
+    ``size`` most recently used entries."""
     if key in cache:
         cache.move_to_end(key)
         return cache[key]
     value = cache[key] = build()
-    if len(cache) > CACHE_SIZE:
+    if len(cache) > size:
         cache.popitem(last=False)
     return value

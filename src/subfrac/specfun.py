@@ -30,6 +30,9 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_sub, to_float,
+)
 from scipy.special import gammaln, gammasgn, rgamma
 
 from .series import DEFAULT_TOL, SeriesResult, SeriesTolerance, lru_get, sum_series
@@ -50,21 +53,29 @@ __all__ = [
 _DPS_CAP = 150
 
 # 1/Gamma at the arguments of an mpmath series, per (series, parameters,
-# precision): the Gamma factors do not depend on the series' argument, so
-# the calls of one quadrature or inversion that share a precision share
-# them.  Tables are kept up to _RGAMMA_TABLE_DPS digits, where a quadrature
-# makes most of its calls; the rare long series above it would pin about
-# 1 MB of interpreter memory for little reuse.
+# precision class): the Gamma factors do not depend on the series'
+# argument, so every call whose working precision falls in one class
+# shares them.  The class is the first of _RGAMMA_CLASSES digits at or
+# above the call's; an entry is computed entirely at the class precision
+# and rounded to the working precision where it is used.  The Gamma
+# arguments q1 n + q2 and -beta n + 1 - beta of float parameters are exact
+# there (about 22 digits suffice for n < 2^20), so no entry depends on
+# which call computed it.  A table of a long series at _DPS_CAP digits
+# holds about 0.6 MB, so only the _RGAMMA_TABLE_COUNT most recent are kept:
+# one oracle op reads at most 5 tables, one after the other (a specfun
+# validation; a law derivation reads 3), and never returns to a table it
+# has left, so no op rebuilds a table it built itself.
+_RGAMMA_CLASSES = (40, 80, _DPS_CAP)
 _RGAMMA_TABLES: OrderedDict = OrderedDict()
-_RGAMMA_TABLE_DPS = 40
+_RGAMMA_TABLE_COUNT = 4
 
 
-def _rgamma_table(key: tuple, dps: int) -> list:
-    """The shared 1/Gamma list of one series at precision dps (a fresh one
-    above _RGAMMA_TABLE_DPS); callers extend it term by term."""
-    if dps > _RGAMMA_TABLE_DPS:
-        return []
-    return lru_get(_RGAMMA_TABLES, key + (dps,), list)
+def _rgamma_table(key: tuple, dps: int) -> tuple[int, list]:
+    """(class precision, the shared 1/Gamma list) of one series called at
+    dps <= _DPS_CAP digits; callers extend the list term by term at the
+    class precision."""
+    cls = next(c for c in _RGAMMA_CLASSES if c >= dps)
+    return cls, lru_get(_RGAMMA_TABLES, key + (cls,), list, _RGAMMA_TABLE_COUNT)
 
 
 class OutsideConvergenceDomain(ValueError):
@@ -211,35 +222,47 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
 # Prabhakar (three-parameter Mittag-Leffler)
 # ---------------------------------------------------------------------------
 
-def _prabhakar_term_log(p: MLParams, logabs_x: float, sign_x: float, n: int):
-    """(sign, log|term|) of term n; requires q3 > 0 for the log route."""
-    sg_g, lg = _sign_logrgamma(p.q1 * n + p.q2)
-    la = (
-        gammaln(p.q3 + n)
-        - gammaln(p.q3)
-        - gammaln(n + 1.0)
-        + n * logabs_x
-        + lg
-    )
-    return (sign_x**n) * sg_g, la
+def _prabhakar_term_logs(p: MLParams, logabs_x: float, n: np.ndarray):
+    """(q1 n + q2, log|term n|) over an array of n, the log -inf or nan at
+    the Gamma poles; requires q3 > 0 for the log route."""
+    g = p.q1 * n + p.q2
+    with np.errstate(invalid="ignore"):
+        la = gammaln(p.q3 + n) - gammaln(p.q3) - gammaln(n + 1.0) + n * logabs_x - gammaln(g)
+    return g, la
 
 
-def _prabhakar_peak_log10(p: MLParams, x: float, n_hint: int = 4000) -> float:
-    """log10 of the largest series term, scanned on a coarse n grid."""
+def _gamma_pole(g: np.ndarray) -> np.ndarray:
+    return (g <= 0.0) & (g == np.floor(g))
+
+
+def _scan_grid(n_max: int, growth: float) -> np.ndarray:
+    """The coarse n grid of a peak scan: 0, 1, 2, ..., each step
+    max(n + 1, int(n * growth)), up to n_max."""
+    grid, n = [], 0
+    while n <= n_max:
+        grid.append(n)
+        n = max(n + 1, int(n * growth))
+    return np.array(grid, dtype=float)
+
+
+_PRABHAKAR_PEAK_N = _scan_grid(4000, 1.25)
+# terms of the float Prabhakar series formed per array pass
+_TERM_BLOCK = 32
+
+
+def _prabhakar_peak_log10(p: MLParams, x: float) -> float:
+    """log10 of the largest series term, scanned on a coarse n grid in one
+    array pass (terms at Gamma poles do not count)."""
     if x == 0.0:
         return 0.0
-    la_x = math.log(abs(x))
-    best = -math.inf
-    n = 0
-    while n <= n_hint:
-        _, la = _prabhakar_term_log(p, la_x, 1.0, n)
-        if math.isfinite(la):
-            best = max(best, la)
-        n = max(n + 1, int(n * 1.25))
-    return best / math.log(10.0)
+    g, la = _prabhakar_term_logs(p, math.log(abs(x)), _PRABHAKAR_PEAK_N)
+    la = la[np.isfinite(la) & ~_gamma_pole(g)]
+    return (float(la.max()) if la.size else -math.inf) / math.log(10.0)
 
 
 def _prabhakar_series(p: MLParams, x: float, tol: SeriesTolerance) -> SeriesResult:
+    """The float series at x != 0; with q3 > 0 each term is
+    sign * exp(log|term|), formed _TERM_BLOCK terms per array pass."""
     if p.q3 <= 0:
         # direct Pochhammer recurrence; fine for the short series this
         # parameter range produces (terminating or rapidly decaying)
@@ -253,44 +276,67 @@ def _prabhakar_series(p: MLParams, x: float, tol: SeriesTolerance) -> SeriesResu
 
         return sum_series(term, tol)
 
-    la_x = math.log(abs(x)) if x != 0.0 else -math.inf
-    sg_x = 1.0 if x >= 0 else -1.0
+    la_x = math.log(abs(x))
+    terms: list = []
 
     def term(n: int) -> float:
-        if x == 0.0:
-            return rgamma(p.q2) if n == 0 else 0.0
-        sg, la = _prabhakar_term_log(p, la_x, sg_x, n)
-        return sg * math.exp(la) if sg else 0.0
+        if n == len(terms):
+            k = np.arange(n, n + _TERM_BLOCK, dtype=float)
+            g, la = _prabhakar_term_logs(p, la_x, k)
+            sg = np.where(_gamma_pole(g), 0.0, gammasgn(g))
+            if x < 0.0:
+                sg[k % 2 == 1] *= -1.0
+            terms.extend(s * math.exp(v) if s else 0.0 for s, v in zip(sg.tolist(), la.tolist()))
+        return terms[n]
 
     return sum_series(term, tol)
 
 
 def _prabhakar_mp(p: MLParams, x: float, dps: int) -> float:
+    """The series summed at dps digits.  The loop runs on mpmath's raw
+    values with the operations and rounding of the mpf expressions
+
+        t = coef * (+rg[n]);  s += t;  coef *= (q3 + n - 1) * xm / n
+
+    in the same order, so it gives their bits without building an mpf
+    object per operation."""
     with mp.workdps(dps):
+        prec, rnd = mp.mp._prec_rounding  # what the mpf operators round with
         # parameters become exact mpf here so the Gamma argument q1*n+q2
         # carries no float64 rounding (which the huge terms would amplify)
-        q1, q2, q3 = mp.mpf(p.q1), mp.mpf(p.q2), mp.mpf(p.q3)
-        xm = mp.mpf(x)
-        s = mp.mpf(0)
-        coef = mp.mpf(1)  # (q3)_n x^n / n!, carried from term to term
-        rg = _rgamma_table(("prabhakar", p.q1, p.q2), dps)
+        q1, q2 = mp.mpf(p.q1), mp.mpf(p.q2)
+        q3, xm = mp.mpf(p.q3)._mpf_, mp.mpf(x)._mpf_
+        s = fzero
+        coef = fone  # (q3)_n x^n / n!, carried from term to term
+        # with q3 = 1 every rounding of (q3 + n - 1) * xm / n is exact (n <
+        # 2^19 and n * xm fit in prec bits), so the factor is xm itself;
+        # every mpmath call of a law derivation, a specfun validation and an
+        # msm closed form has q3 = 1, and those sums take most of their time
+        unit_q3 = p.q3 == 1.0 and prec >= 53 + 20
+        cls, rg = _rgamma_table(("prabhakar", p.q1, p.q2), dps)
         small = 0
-        thresh = mp.mpf(10) ** (-dps + 10)
+        thresh = (mp.mpf(10) ** (-dps + 10))._mpf_
         n = 0
         while n < 500_000:
             if n == len(rg):
-                rg.append(mp.rgamma(q1 * n + q2))
-            t = coef * rg[n]
-            s += t
-            if abs(t) < thresh:
+                with mp.workdps(cls):
+                    rg.append(mp.rgamma(q1 * n + q2)._mpf_)
+            t = mpf_mul(coef, mpf_pos(rg[n], prec, rnd), prec, rnd)
+            s = mpf_add(s, t, prec, rnd)
+            if mpf_lt(mpf_abs(t), thresh):
                 small += 1
                 if small >= 8:
                     break
             else:
                 small = 0
             n += 1
-            coef *= (q3 + n - 1) * xm / n
-        return float(s)
+            if unit_q3:
+                coef = mpf_mul(coef, xm, prec, rnd)
+            else:
+                fn = from_int(n)
+                step = mpf_sub(mpf_add(q3, fn, prec, rnd), fone, prec, rnd)
+                coef = mpf_mul(coef, mpf_div(mpf_mul(step, xm, prec, rnd), fn, prec, rnd), prec, rnd)
+        return to_float(s, rnd=rnd)
 
 
 def _prabhakar_asymptotic(p: MLParams, x: float) -> float:
@@ -472,28 +518,34 @@ def _mwright_series(beta: float, z: float, tol: SeriesTolerance) -> SeriesResult
 
 
 def _mwright_mp(beta: float, z: float, dps: int) -> float:
+    """The series summed at dps digits, on raw mpmath values as in
+    _prabhakar_mp; the mpf expressions are
+
+        coef *= -zm / n;  t = coef * (+rg[n]);  s += t."""
     with mp.workdps(dps):
-        zm = mp.mpf(z)
+        prec, rnd = mp.mp._prec_rounding  # what the mpf operators round with
+        neg_z = mpf_neg(mp.mpf(z)._mpf_)
         bem = mp.mpf(beta)
-        s = mp.mpf(0)
-        coef = mp.mpf(1)  # (-z)^n / n!, carried from term to term
-        rg = _rgamma_table(("mwright", beta), dps)
+        s = fzero
+        coef = fone  # (-z)^n / n!, carried from term to term
+        cls, rg = _rgamma_table(("mwright", beta), dps)
         small = 0
-        thresh = mp.mpf(10) ** (-dps + 10)
+        thresh = (mp.mpf(10) ** (-dps + 10))._mpf_
         for n in range(500_000):
             if n:
-                coef *= -zm / n
+                coef = mpf_mul(coef, mpf_div(neg_z, from_int(n), prec, rnd), prec, rnd)
             if n == len(rg):
-                rg.append(mp.rgamma(-bem * n + 1 - bem))
-            t = coef * rg[n]
-            s += t
-            if abs(t) < thresh:
+                with mp.workdps(cls):
+                    rg.append(mp.rgamma(-bem * n + 1 - bem)._mpf_)
+            t = mpf_mul(coef, mpf_pos(rg[n], prec, rnd), prec, rnd)
+            s = mpf_add(s, t, prec, rnd)
+            if mpf_lt(mpf_abs(t), thresh):
                 small += 1
                 if small >= 8:
                     break
             else:
                 small = 0
-        return float(s)
+        return to_float(s, rnd=rnd)
 
 
 def _mwright_asymptotic(beta: float, z: float) -> float:

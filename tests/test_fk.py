@@ -330,6 +330,15 @@ class TestFlow:
         for y, v in zip(ys, batch):
             assert v == pytest.approx(doss_sussmann_flow(sigma, float(y), 0.3, 512), abs=1e-8)
 
+    def test_flow_map_value_independent_of_batch(self):
+        sigma = lambda z: 2.0 + math.sin(z)
+        ys = 3.0 * np.random.default_rng(4).standard_normal(400)
+        full = flow_map(sigma, ys, 0.3)
+        for part in (slice(0, 1), slice(50, 80), slice(399, 400)):
+            assert np.array_equal(flow_map(sigma, ys[part], 0.3), full[part])
+        positive = np.flatnonzero(ys > 0.5)
+        assert np.array_equal(flow_map(sigma, ys[positive], 0.3), full[positive])
+
 
 class TestDossSussmannSolver:
     def test_both_forms_agree(self):
@@ -388,6 +397,15 @@ class TestDossSussmannSolver:
         with pytest.raises(ValueError, match="n_paths must be >= 2"):
             solve_doss_sussmann(prob, n_paths, SEED)
 
+    def test_flow_base_solve_identical_for_any_workers(self):
+        prob = ggbm_problem(
+            process=ProcessModel(base=DossSussmann(sigma=lambda z: 2.0 + np.sin(z), w=0.2)),
+            eval_points=((1.0, 0.3),),
+        )
+        runs = [solve(prob, 2000, 5, workers=w)[0] for w in (1, 2, 3)]
+        assert runs[0].mean == runs[1].mean == runs[2].mean
+        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
     def test_heavy_tailed_driver_span_fails_fast(self):
         # stable-power subordination makes A^{1/gamma} eta_1 heavy-tailed: the
         # largest of 1500 combined amplitudes (seed 9) is 8.4e5, a flow span
@@ -402,6 +420,13 @@ class TestDossSussmannSolver:
         with pytest.raises(StepCountInsufficient, match="driver span"):
             solve_doss_sussmann(prob, 1500, 9)
         assert time.perf_counter() - t0 < 30.0
+
+
+class TestStableNearOne:
+    def test_ggbm_near_one_solve_finite(self):
+        # Kanter's powers 1/(1 - gamma) underflowed here: NaN path values
+        est = solve(ggbm_problem(kernel=GGBMKernel(0.99, 0.99)), 5000, 1)[0]
+        assert math.isfinite(est.mean) and 0.0 < est.stderr < 0.05
 
 
 class TestStretch:

@@ -329,6 +329,53 @@ class TestMomentNodeReuse:
         assert list(phi_module._HP_NODES) == [second]
 
 
+def hp_unit_reference(kernel, s):
+    """k(1, s) with every parameter constant formed afresh at the current
+    precision."""
+    if isinstance(kernel, FractionalPowerKernel):
+        return (1 - s) ** (mp.mpf(kernel.beta) - 1) / mp.gamma(mp.mpf(kernel.beta))
+    if isinstance(kernel, GGBMKernel):
+        a = mp.mpf(kernel.alpha) / mp.mpf(kernel.beta)
+        c = mp.mpf(kernel.alpha) / (mp.mpf(kernel.beta) * mp.gamma(mp.mpf(kernel.beta)))
+        return c * s ** (a - 1) * (1 - s**a) ** (mp.mpf(kernel.beta) - 1)
+    a, b = mp.mpf(kernel.a), mp.mpf(kernel.b)
+    mu, nu = mp.mpf(kernel.mu), mp.mpf(kernel.nu)
+    base = a / mp.gamma(b / a) * (1 - s**a) ** (b / a - 1) * s ** (nu - 1)
+    if kernel.nu == kernel.a:
+        return base * s ** (a * mu)
+    return base * mp.hyp2f1(nu / a - 1, 1, b / a, 1 - s**a)
+
+
+class TestUnitConstantsPerPrecision:
+    """k(1, .) computes its parameter constants once per precision; the
+    20-digit probe of SeriesPhi never lends them to a later precision."""
+
+    KERNELS = [GGBMKernel(0.7, 0.55), MSMKernel(a=1.5, b=1.0, mu=0.0, nu=1.2),
+               MSMKernel(a=1.5, b=1.0, mu=0.3, nu=1.5), FractionalPowerKernel(0.45)]
+    IDS = ["ggbm", "msm_2f1", "msm_power", "fractional_power"]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    def test_unit_eval_after_a_lower_precision_call(self, kernel):
+        with mp.workdps(20):
+            kernel.hp_unit_eval(mp.mpf("0.5"))
+        with mp.workdps(40):
+            s = mp.mpf(1) / 3
+            assert kernel.hp_unit_eval(s) == hp_unit_reference(kernel, s)
+
+    @pytest.mark.parametrize("kernel", KERNELS[:2], ids=IDS[:2])
+    def test_moments_after_the_probe(self, kernel):
+        SeriesPhi(kernel)  # probes k(1, 1/2) at 20 digits
+        phi_module._HP_CACHE.pop(kernel, None)
+        phi_module._HP_NODES.clear()
+        got = phi_module._hp_unit_coefficients(kernel, 2)
+        with mp.workdps(40):
+            th = mp.mpf(kernel.theta)
+            for n in (1, 2):
+                moment = mp.quad(
+                    lambda s: hp_unit_reference(kernel, s) * s ** ((n - 1) * th), [0, 1])
+                assert got[n] == got[n - 1] * moment
+
+
 def volterra_solve_per_row(kernel, lam, horizon, n_steps, grading):
     """Product-integration solve with the weights and kernel values built
     one row at a time."""

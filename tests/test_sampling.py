@@ -153,6 +153,35 @@ class TestStableSubordinator:
             stable_onesided_from_uniforms(0.5, 0.5, 1.5)
 
 
+class TestStableNearOne:
+    """Kanter's powers 1/(1 - gamma) leave the float range for gamma near 1;
+    those draws are formed again in the log domain."""
+
+    @pytest.mark.parametrize("gamma", [0.99, 0.995, 0.999])
+    def test_draws_finite_positive_and_stable(self, gamma):
+        n = 100_000
+        u = path_uniforms(SEED, 1, n, 2)
+        with np.errstate(all="raise"):
+            s = stable_onesided_from_uniforms(u[:, 0], u[:, 1], gamma)
+        assert np.all(np.isfinite(s) & (s > 0.0))
+        for lam in (0.5, 1.0, 2.0):
+            dev = mc_dev(np.exp(-lam * s), math.exp(-(lam**gamma)))
+            assert abs(dev) < 4.0, (gamma, lam, dev)
+
+    def test_moderate_gamma_keeps_the_direct_formula(self):
+        gamma = 0.62
+        u = path_uniforms(SEED, 2, 5000, 2)
+        th = np.clip(u[:, 0], 1e-15, 1.0 - 1e-15) * math.pi
+        e = -np.log1p(-np.clip(u[:, 1], 1e-15, 1.0 - 1e-15))
+        a = (
+            np.sin((1.0 - gamma) * th)
+            * np.sin(gamma * th) ** (gamma / (1.0 - gamma))
+            / np.sin(th) ** (1.0 / (1.0 - gamma))
+        )
+        ref = (a / e) ** ((1.0 - gamma) / gamma)
+        assert np.array_equal(stable_onesided_from_uniforms(u[:, 0], u[:, 1], gamma), ref)
+
+
 class TestMixingVariable:
     def test_degenerate(self):
         assert sample_A_stable_mixing(1.0, SeedSpec(SEED, 0)) == 1.0
@@ -499,8 +528,8 @@ class TestPathHelpersAreRowsOfOneArrayFunction:
             assert path[0] == self.X0
             one = base_positions(base, self.X0, times[:1], SEED, start=i)[0]
             assert np.array_equal(path[1:], one)
-            # flow_map sizes its trajectory grid from the whole batch's
-            # driver span, so a row of a larger batch agrees to its accuracy
+            # flow_map reads fixed trajectory nodes, so a row of a larger
+            # batch is the same value too
             assert np.max(np.abs(path[1:] - batch[i])) < 1e-8
 
     @pytest.mark.parametrize("kind", ["timechanged_bm", "scaled_bm", "scaled_fbm"])

@@ -14,9 +14,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.special import erfc, hyp2f1
+from scipy.special import erfc, gammaln, gammasgn, hyp2f1
 
-from subfrac.series import SeriesTolerance, TruncationBudgetExceeded
+from subfrac import specfun
+from subfrac.series import DEFAULT_TOL, SeriesTolerance, TruncationBudgetExceeded, sum_series
 from subfrac.specfun import (
     _ML_BLOCK,
     MLParams,
@@ -27,6 +28,7 @@ from subfrac.specfun import (
     _mwright_peak_log10,
     _prabhakar_mp,
     _prabhakar_peak_log10,
+    _prabhakar_series,
     appell_f3,
     mittag_leffler,
     multinomial_ml,
@@ -369,3 +371,179 @@ class TestNonFiniteArguments:
     def test_nan_argument_is_rejected_by_name(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
             call()
+
+
+def prabhakar_peak_log10_loop(p, x):
+    """The Prabhakar peak scan one grid point at a time."""
+    la_x = math.log(abs(x))
+    best = -math.inf
+    n = 0
+    while n <= 4000:
+        g = p.q1 * n + p.q2
+        if not (g <= 0.0 and g == math.floor(g)):
+            la = gammaln(p.q3 + n) - gammaln(p.q3) - gammaln(n + 1.0) + n * la_x - float(gammaln(g))
+            if math.isfinite(la):
+                best = max(best, la)
+        n = max(n + 1, int(n * 1.25))
+    return best / math.log(10.0)
+
+
+class TestPrabhakarPeakScan:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(q1=st.floats(0.05, 0.99), q2=st.floats(-3.0, 3.0), q3=st.floats(-2.5, 3.0),
+           x=st.floats(-1e3, -1e-3))
+    @example(q1=0.5, q2=0.0, q3=1.0, x=-3.0)  # Gamma pole at n = 0
+    @example(q1=0.5, q2=-1.0, q3=1.0, x=-50.0)  # poles at n = 0 and 2
+    @example(q1=0.25, q2=-2.0, q3=0.5, x=-0.5)  # poles at n = 0 and 4
+    @example(q1=0.5, q2=1.0, q3=-1.0, x=-3.0)  # no finite term
+    def test_array_pass_equals_the_loop(self, q1, q2, q3, x):
+        p = MLParams(q1, q2, q3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = prabhakar_peak_log10_loop(p, x)
+        assert _prabhakar_peak_log10(p, x) == ref
+
+
+class TestRgammaTables:
+    """The mpmath branches share their 1/Gamma tables per (series,
+    parameters, precision class); a value does not depend on which calls
+    built the table it reads."""
+
+    @pytest.mark.parametrize(
+        "f, x, same_class, other_class",
+        [
+            # working precisions 60, 78 (class 80) and 101 (class 150) digits
+            (lambda x: prabhakar(MLParams(0.4, 1.3, 0.9), x), -6.0, -7.0, -8.0),
+            # 48, 63 (class 80) and 105 (class 150) digits
+            (lambda z: mwright_density(0.6, z), 10.0, 12.0, 16.0),
+        ],
+        ids=["prabhakar", "mwright"],
+    )
+    def test_value_independent_of_table_history(self, f, x, same_class, other_class):
+        def entries():
+            return sum(map(len, specfun._RGAMMA_TABLES.values()))
+
+        specfun._RGAMMA_TABLES.clear()
+        cold = f(x)
+        specfun._RGAMMA_TABLES.clear()
+        f(same_class)
+        before = entries()
+        extended = f(x)
+        assert entries() == before  # read from the table the larger argument built
+        specfun._RGAMMA_TABLES.clear()
+        f(other_class)
+        after_other_class = f(x)
+        assert len(specfun._RGAMMA_TABLES) == 2
+        assert cold == extended == after_other_class
+
+    def test_retained_memory_bounded(self):
+        def fill(count):
+            for i in range(count):
+                prabhakar(MLParams(0.5, 1.0 + 0.1 * i, 1.0), -8.0)
+
+        fill(1)  # mpmath's own constants and caches at this precision
+        specfun._RGAMMA_TABLES.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fill(specfun._RGAMMA_TABLE_COUNT)
+            at_count = tracemalloc.get_traced_memory()[0] - base
+            specfun._RGAMMA_TABLES.clear()
+            fill(specfun._RGAMMA_TABLE_COUNT + 2)
+            beyond = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        kept = sum(map(len, specfun._RGAMMA_TABLES.values()))
+        assert len(specfun._RGAMMA_TABLES) == specfun._RGAMMA_TABLE_COUNT
+        # an entry is one raw mpmath value (about 210 bytes at 80 digits)
+        assert beyond < 300 * kept + 64 * 1024
+        assert beyond < at_count + 16 * 1024
+
+
+def prabhakar_series_loop(p, x):
+    """The float Prabhakar series (q3 > 0) one term at a time."""
+    la_x, sg_x = math.log(abs(x)), (1.0 if x >= 0 else -1.0)
+
+    def term(n):
+        g = p.q1 * n + p.q2
+        if g <= 0.0 and g == math.floor(g):
+            return 0.0
+        la = gammaln(p.q3 + n) - gammaln(p.q3) - gammaln(n + 1.0) + n * la_x - float(gammaln(g))
+        return (sg_x**n) * float(gammasgn(g)) * math.exp(la)
+
+    return sum_series(term, DEFAULT_TOL)
+
+
+class TestPrabhakarSeriesBlocks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(q1=st.floats(0.05, 2.5), q2=st.floats(-3.0, 3.0), q3=st.floats(0.01, 3.0),
+           x=st.floats(-25.0, 25.0))
+    @example(q1=0.5, q2=-1.0, q3=1.0, x=-2.0)  # Gamma poles at n = 0 and 2
+    def test_blocks_equal_the_loop(self, q1, q2, q3, x):
+        assume(x != 0.0)
+        p = MLParams(q1, q2, q3)
+        try:
+            ref = prabhakar_series_loop(p, x)
+        except (OverflowError, TruncationBudgetExceeded) as exc:
+            with pytest.raises(type(exc)):
+                _prabhakar_series(p, x, DEFAULT_TOL)
+            return
+        got = _prabhakar_series(p, x, DEFAULT_TOL)
+        assert (got.value, got.n_terms, got.max_abs_term) == (ref.value, ref.n_terms, ref.max_abs_term)
+
+
+def prabhakar_mp_objects(p, x, dps):
+    """_prabhakar_mp written with mpf objects, on the same 1/Gamma tables."""
+    with mp.workdps(dps):
+        q3, xm = mp.mpf(p.q3), mp.mpf(x)
+        cls, rg = specfun._rgamma_table(("prabhakar", p.q1, p.q2), dps)
+        s, coef, small, n = mp.mpf(0), mp.mpf(1), 0, 0
+        thresh = mp.mpf(10) ** (-dps + 10)
+        while True:
+            if n == len(rg):
+                with mp.workdps(cls):
+                    rg.append(mp.rgamma(mp.mpf(p.q1) * n + mp.mpf(p.q2))._mpf_)
+            t = coef * (+mp.mpf(rg[n]))
+            s += t
+            small = small + 1 if abs(t) < thresh else 0
+            if small >= 8:
+                return float(s)
+            n += 1
+            coef *= (q3 + n - 1) * xm / n
+
+
+def mwright_mp_objects(beta, z, dps):
+    """_mwright_mp written with mpf objects, on the same 1/Gamma tables."""
+    with mp.workdps(dps):
+        zm, bem = mp.mpf(z), mp.mpf(beta)
+        cls, rg = specfun._rgamma_table(("mwright", beta), dps)
+        s, coef, small = mp.mpf(0), mp.mpf(1), 0
+        thresh = mp.mpf(10) ** (-dps + 10)
+        for n in range(500_000):
+            if n:
+                coef *= -zm / n
+            if n == len(rg):
+                with mp.workdps(cls):
+                    rg.append(mp.rgamma(-bem * n + 1 - bem)._mpf_)
+            t = coef * (+mp.mpf(rg[n]))
+            s += t
+            small = small + 1 if abs(t) < thresh else 0
+            if small >= 8:
+                return float(s)
+
+
+class TestMpSumsOnRawValues:
+    """The mpmath loops on raw values give the bits of the same loops on
+    mpf objects, the q3 = 1 factor included."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(q1=st.floats(0.4, 0.8), q2=st.floats(0.5, 2.0), q3=st.sampled_from([1.0, 0.7, 1.6]),
+           x=st.floats(-12.0, -3.0), dps=st.integers(26, 90))
+    def test_prabhakar(self, q1, q2, q3, x, dps):
+        p = MLParams(q1, q2, q3)
+        assert _prabhakar_mp(p, x, dps) == prabhakar_mp_objects(p, x, dps)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.45, 0.7), z=st.floats(4.0, 12.0), dps=st.integers(26, 90))
+    def test_mwright(self, beta, z, dps):
+        assert _mwright_mp(beta, z, dps) == mwright_mp_objects(beta, z, dps)
