@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -205,11 +206,21 @@ def _reject_nonfinite(node, where: str = "") -> None:
             _reject_nonfinite(value, f"{where}[{i}]")
 
 
+@functools.cache
+def _problem_validator():
+    """jsonschema.validate's validator, with its meta-schema check, built once."""
+    cls = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
+    cls.check_schema(PROBLEM_SCHEMA)
+    return cls(PROBLEM_SCHEMA)
+
+
 def load_problem(doc: dict):
     """Validate the JSON document and materialize the effective config +
     FKProblem.  Unknown keys are rejected by the schema."""
     _reject_nonfinite(doc)
-    jsonschema.validate(doc, PROBLEM_SCHEMA)
+    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(doc))
+    if error is not None:
+        raise error
     effective = {
         "kernel": dict(doc["kernel"]),
         "process": {

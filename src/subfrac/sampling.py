@@ -31,6 +31,9 @@ bit for the same seed, substream and path.  Paths follow the same rule:
 ``rsgp_paths`` builds the randomly scaled Gaussian paths and
 ``fk.base_positions`` the base Markov paths, and ``sample_rsgp_path`` and
 ``sample_markov_path`` are their n = 1 rows.
+One-sided stable draws take one log-domain Kanter formula of numpy's
+vectorized tan, log and exp (``stable_onesided_from_uniforms``), which
+rounds alike for strided, contiguous and scalar input.
 """
 
 from __future__ import annotations
@@ -194,37 +197,29 @@ def _clip_open(u: np.ndarray) -> np.ndarray:
 # stable draws (Kanter / Chambers-Mallows-Stuck)
 # ---------------------------------------------------------------------------
 
+def _log_half_sin(phi):
+    """log(sin(phi) / 2) = log(t / (1 + t^2)), t = tan(phi / 2), phi in (0, pi)."""
+    t = np.tan(0.5 * phi)
+    return np.log(t / (1.0 + t * t))
+
+
 def stable_onesided_from_uniforms(u1, u2, gamma: float):
-    """Standard one-sided gamma-stable draw with E[e^{-lam X}] = e^{-lam^gamma},
-    from two uniforms (Kanter's representation).  The draws whose powers
-    left the float range (gamma near 1) are formed again from
-    log a = log sin((1-gamma) th) + gamma/(1-gamma) log sin(gamma th)
-    - log sin(th)/(1-gamma)."""
+    """Standard one-sided gamma-stable draw with E[e^{-lam X}] = e^{-lam^gamma}
+    by Kanter's transform in the log domain: X = exp(r (L((1-gamma) th) - log e)
+    + L(gamma th) - L(th)/gamma), th = pi u1, e = -log(1 - u2), r = (1-gamma)/gamma,
+    L(phi) = log(sin(phi)/2); the log 2 terms cancel (r + 1 - 1/gamma = 0).  No
+    power leaves the float range, so every gamma, near 1 too, lies within about
+    1e-13 (relative) of the exact transform at the float th.  L uses tan(phi/2):
+    numpy's float64 tan, log and exp are vectorized, its sin a slower scalar loop."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    u1 = _clip_open(np.asarray(u1, dtype=float))
-    u2 = _clip_open(np.asarray(u2, dtype=float))
     if gamma == 1.0:
-        return np.ones_like(u1)
-    th = u1 * math.pi
-    e = -np.log1p(-u2)
-    with np.errstate(all="ignore"):
-        a = (
-            np.sin((1.0 - gamma) * th)
-            * np.sin(gamma * th) ** (gamma / (1.0 - gamma))
-            / np.sin(th) ** (1.0 / (1.0 - gamma))
-        )
-        x = (a / e) ** ((1.0 - gamma) / gamma)
-    bad = ~(np.isfinite(x) & (x > 0.0))
-    if np.any(bad):
-        x, tb = np.asarray(x), th[bad]
-        log_a = (
-            np.log(np.sin((1.0 - gamma) * tb))
-            + gamma / (1.0 - gamma) * np.log(np.sin(gamma * tb))
-            - np.log(np.sin(tb)) / (1.0 - gamma)
-        )
-        x[bad] = np.exp((1.0 - gamma) / gamma * (log_a - np.log(e[bad])))
-    return x
+        return np.ones_like(np.asarray(u1, dtype=float))
+    th = _clip_open(np.asarray(u1, dtype=float)) * math.pi
+    e = -np.log1p(-_clip_open(np.asarray(u2, dtype=float)))
+    r = (1.0 - gamma) / gamma
+    log_x = r * (_log_half_sin((1.0 - gamma) * th) - np.log(e)) + _log_half_sin(gamma * th)
+    return np.exp(log_x - _log_half_sin(th) / gamma)
 
 
 def stable_symmetric_from_uniforms(u1, u2, delta: float):
@@ -271,8 +266,6 @@ def mixing_from_uniforms(u1, u2, beta: float):
     eta^{-beta} for a standard beta-stable draw eta."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if beta == 1.0:
-        return np.ones_like(np.asarray(u1, dtype=float))
     return stable_onesided_from_uniforms(u1, u2, beta) ** (-beta)
 
 
@@ -388,11 +381,7 @@ class BernsteinSpec:
 
     @property
     def n_stable_terms(self) -> int:
-        if self.kind == "identity":
-            return 0
-        if self.kind == "stable_power":
-            return 1
-        return len(self.terms)
+        return {"identity": 0, "stable_power": 1}.get(self.kind, len(self.terms))
 
 
 def subordinator_draws(

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from subfrac import __version__, sampling
@@ -16,6 +17,7 @@ from subfrac.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_SCOPE,
+    PROBLEM_SCHEMA,
     load_problem,
     main,
     write_csv,
@@ -162,6 +164,17 @@ class TestLoadProblem:
     def test_schema_validation(self):
         with pytest.raises(Exception):
             load_problem({"kernel": {"family": "ggbm"}})
+
+    def test_schema_errors_match_jsonschema_validate(self):
+        good = json.loads(PROBLEM.read_text())
+        bad_type = dict(good, eval_points="x")
+        for doc in ({"kernel": {"family": "ggbm"}}, bad_type):
+            with pytest.raises(jsonschema.ValidationError) as want:
+                jsonschema.validate(doc, PROBLEM_SCHEMA)
+            for _ in range(2):  # the first call builds the validator
+                with pytest.raises(jsonschema.ValidationError) as got:
+                    load_problem(doc)
+                assert str(got.value) == str(want.value)
 
 
 class TestOtherCommands:

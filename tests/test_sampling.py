@@ -4,6 +4,7 @@ counter-based streams."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -155,7 +156,7 @@ class TestStableSubordinator:
 
 class TestStableNearOne:
     """Kanter's powers 1/(1 - gamma) leave the float range for gamma near 1;
-    those draws are formed again in the log domain."""
+    the transform is evaluated in the log domain at every gamma."""
 
     @pytest.mark.parametrize("gamma", [0.99, 0.995, 0.999])
     def test_draws_finite_positive_and_stable(self, gamma):
@@ -168,18 +169,51 @@ class TestStableNearOne:
             dev = mc_dev(np.exp(-lam * s), math.exp(-(lam**gamma)))
             assert abs(dev) < 4.0, (gamma, lam, dev)
 
-    def test_moderate_gamma_keeps_the_direct_formula(self):
-        gamma = 0.62
-        u = path_uniforms(SEED, 2, 5000, 2)
-        th = np.clip(u[:, 0], 1e-15, 1.0 - 1e-15) * math.pi
-        e = -np.log1p(-np.clip(u[:, 1], 1e-15, 1.0 - 1e-15))
-        a = (
-            np.sin((1.0 - gamma) * th)
-            * np.sin(gamma * th) ** (gamma / (1.0 - gamma))
-            / np.sin(th) ** (1.0 / (1.0 - gamma))
-        )
-        ref = (a / e) ** ((1.0 - gamma) / gamma)
-        assert np.array_equal(stable_onesided_from_uniforms(u[:, 0], u[:, 1], gamma), ref)
+    @pytest.mark.parametrize("gamma", [0.3, 0.62, 0.9, 0.99, 0.999])
+    def test_matches_high_precision_kanter(self, gamma):
+        # Kanter's formula in 50-digit mpmath at the float th = pi * u1 and
+        # e = -log(1 - u2) from the (clipped) uniform, including boundary
+        # uniforms that the transform clips to [1e-15, 1 - 1e-15]
+        u = path_uniforms(SEED, 2, 4000, 2)
+        edge = np.array([0.0, 1e-16, 1.0 - 1e-16])
+        u = np.concatenate([u, np.stack(np.meshgrid(edge, edge), axis=-1).reshape(-1, 2)])
+        got = stable_onesided_from_uniforms(u[:, 0], u[:, 1], gamma)
+        uc = np.clip(u, 1e-15, 1.0 - 1e-15)
+        th = uc[:, 0] * math.pi
+        with mp.workdps(50):
+            g = mp.mpf(gamma)
+            for x, t, u2 in zip(got, th, uc[:, 1]):
+                t = mp.mpf(t)
+                a = mp.sin((1 - g) * t) * mp.sin(g * t) ** (g / (1 - g)) / mp.sin(t) ** (1 / (1 - g))
+                ref = (a / -mp.log1p(-mp.mpf(u2))) ** ((1 - g) / g)
+                assert abs(x - ref) <= 1e-12 * ref, (gamma, t, u2, x, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=SEEDS,
+        n=st.integers(1, 4),
+        steps=st.integers(1, 70),
+        m=st.integers(1, 3),
+        gamma=st.floats(0.05, 0.999),
+    )
+    @example(seed=1, n=3, steps=64, m=2, gamma=0.999)
+    def test_bits_independent_of_layout(self, seed, n, steps, m, gamma):
+        # first_passage hands over the strided columns of an (n, steps, 2m)
+        # block; copies, one-row blocks and scalar calls give the same bits
+        u = path_uniforms(seed, SUB_SUBORDINATOR, n, steps * 2 * m).reshape(n, steps, 2 * m)
+        u[0, 0, :2] = (0.0, 1.0 - 2.0**-53)
+        strided = stable_onesided_from_uniforms(u[..., 0], u[..., 1], gamma)
+        assert np.array_equal(strided, stable_onesided_from_uniforms(
+            np.ascontiguousarray(u[..., 0]), np.ascontiguousarray(u[..., 1]), gamma
+        ))
+        for i in range(n):
+            row = u[i : i + 1]
+            assert np.array_equal(
+                strided[i : i + 1], stable_onesided_from_uniforms(row[..., 0], row[..., 1], gamma)
+            )
+            for j in range(steps):
+                one = stable_onesided_from_uniforms(float(u[i, j, 0]), float(u[i, j, 1]), gamma)
+                assert one == strided[i, j]
 
 
 class TestMixingVariable:
