@@ -35,7 +35,7 @@ from mpmath.libmp import (
 )
 from scipy.special import gammaln, gammasgn, rgamma
 
-from .series import DEFAULT_TOL, SeriesResult, SeriesTolerance, lru_get, sum_series
+from .series import DEFAULT_TOL, SeriesResult, SeriesTolerance, TruncationBudgetExceeded, lru_get, sum_series
 
 __all__ = [
     "MLParams",
@@ -119,30 +119,106 @@ class MultinomialMLParams:
 
 
 # ---------------------------------------------------------------------------
-# one-parameter Mittag-Leffler
+# series machinery shared by the Mittag-Leffler, Prabhakar and Wright sums
 # ---------------------------------------------------------------------------
+#
+# Each series is described by logs(n) -> (g, log|term n|) over an array of
+# n, g being the argument of the term's 1/Gamma(g) factor, which also sets
+# the term's sign; the series alternates on top of that for a negative
+# argument.
 
-def _ml_series(beta: float, x: float, tol: SeriesTolerance) -> SeriesResult:
-    lx = math.log(abs(x))
-    sg = 1.0 if x > 0 else -1.0
+def _gamma_pole(g: np.ndarray) -> np.ndarray:
+    return (g <= 0.0) & (g == np.floor(g))
+
+
+def _scan_grid(n_max: int, growth: float) -> np.ndarray:
+    """The coarse n grid of a peak scan: 0, 1, 2, ..., each step
+    max(n + 1, int(n * growth)), up to n_max."""
+    grid, n = [], 0
+    while n <= n_max:
+        grid.append(n)
+        n = max(n + 1, int(n * growth))
+    return np.array(grid, dtype=float)
+
+
+# the peak-scan grid of the Mittag-Leffler and Wright series
+_PEAK_N = _scan_grid(200_000, 1.2)
+# terms of a float series formed per array pass
+_TERM_BLOCK = 32
+
+
+def _peak_log10(g: np.ndarray, la: np.ndarray) -> float:
+    """log10 of the largest term over a scan grid, from the (g, log|term|)
+    of its points; terms at Gamma poles and non-finite logs do not count."""
+    la = la[np.isfinite(la) & ~_gamma_pole(g)]
+    return (float(la.max()) if la.size else -math.inf) / math.log(10.0)
+
+
+def _float_series(logs, alternate: bool, tol: SeriesTolerance) -> SeriesResult:
+    """The float64 series with terms sign * exp(log|term|), formed
+    _TERM_BLOCK terms per array pass; the sign is that of 1/Gamma(g),
+    flipped at odd n when the series alternates."""
+    terms: list = []
 
     def term(n: int) -> float:
-        return sg**n * math.exp(n * lx - gammaln(beta * n + 1.0))
+        if n == len(terms):
+            k = np.arange(n, n + _TERM_BLOCK, dtype=float)
+            g, la = logs(k)
+            sg = np.where(_gamma_pole(g), 0.0, gammasgn(g))
+            if alternate:
+                sg[k % 2 == 1] *= -1.0
+            terms.extend(s * math.exp(v) if s else 0.0 for s, v in zip(sg.tolist(), la.tolist()))
+        return terms[n]
 
     return sum_series(term, tol)
 
 
-def _ml_peak_log10(beta: float, x: float) -> float:
+def _accurate(res: SeriesResult, tol: SeriesTolerance, rel: float = 1e-13) -> bool:
+    """Whether a float sum's cancellation floor is within tolerance."""
+    return res.cancellation_error <= max(tol.abs_tol, rel * abs(res.value))
+
+
+def _mp_series(key: tuple, gamma_arg, step, dps: int) -> float:
+    """sum_n coef_n / Gamma(gamma_arg(n)) at dps digits, with coef_0 = 1,
+    coef_n = step(coef_{n-1}, n, prec, rnd) and 1/Gamma read from the
+    shared table of `key`, until 8 terms in a row fall below 10^(10 - dps).
+    The loop runs on mpmath's raw values with the operations and rounding
+    of the mpf expressions
+
+        coef = step(coef, n);  t = coef * (+rg[n]);  s += t
+
+    in the same order, so it gives their bits without building an mpf
+    object per operation."""
+    with mp.workdps(dps):
+        prec, rnd = mp.mp._prec_rounding  # what the mpf operators round with
+        cls, rg = _rgamma_table(key, dps)
+        thresh = (mp.mpf(10) ** (-dps + 10))._mpf_
+        s, coef, small = fzero, fone, 0
+        for n in range(500_000):
+            if n:
+                coef = step(coef, n, prec, rnd)
+            if n == len(rg):
+                with mp.workdps(cls):
+                    rg.append(mp.rgamma(gamma_arg(n))._mpf_)
+            t = mpf_mul(coef, mpf_pos(rg[n], prec, rnd), prec, rnd)
+            s = mpf_add(s, t, prec, rnd)
+            if mpf_lt(mpf_abs(t), thresh):
+                small += 1
+                if small >= 8:
+                    break
+            else:
+                small = 0
+        return to_float(s, rnd=rnd)
+
+
+# ---------------------------------------------------------------------------
+# one-parameter Mittag-Leffler
+# ---------------------------------------------------------------------------
+
+def _ml_logs(beta: float, x: float):
+    """(beta n + 1, log|x^n / Gamma(beta n + 1)|) over an array of n."""
     lx = math.log(abs(x))
-    best = -math.inf
-    n = 0
-    while n <= 200_000:
-        la = n * lx - gammaln(beta * n + 1.0)
-        best = max(best, la)
-        if n > 20 and la < best - 60:
-            break
-        n = max(n + 1, int(n * 1.2))
-    return best / math.log(10.0)
+    return lambda n: (beta * n + 1.0, n * lx - gammaln(beta * n + 1.0))
 
 
 # elements of one (arguments x nodes) block of the negative-axis rule: a
@@ -209,11 +285,13 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
     if beta == 1.0:
         # the function *is* exp; the series is used only where it is accurate
         return math.exp(x)
+    logs = _ml_logs(beta, x)
     if x > 0.0:
-        return _ml_series(beta, x, tol).value
-    if _ml_peak_log10(beta, x) <= 12.5:
-        res = _ml_series(beta, x, tol)
-        if res.cancellation_error <= max(tol.abs_tol, 1e-13 * abs(res.value)):
+        return _float_series(logs, False, tol).value
+    # at x = -inf no log is finite; the integral rule gives the limit 0
+    if x > -math.inf and _peak_log10(*logs(_PEAK_N)) <= 12.5:
+        res = _float_series(logs, True, tol)
+        if _accurate(res, tol):
             return res.value
     return float(_ml_neg_integral(beta, [-x])[0])
 
@@ -222,32 +300,21 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
 # Prabhakar (three-parameter Mittag-Leffler)
 # ---------------------------------------------------------------------------
 
-def _prabhakar_term_logs(p: MLParams, logabs_x: float, n: np.ndarray):
+def _prabhakar_logs(p: MLParams, x: float):
     """(q1 n + q2, log|term n|) over an array of n, the log -inf or nan at
     the Gamma poles; requires q3 > 0 for the log route."""
-    g = p.q1 * n + p.q2
-    with np.errstate(invalid="ignore"):
-        la = gammaln(p.q3 + n) - gammaln(p.q3) - gammaln(n + 1.0) + n * logabs_x - gammaln(g)
-    return g, la
+    la_x = math.log(abs(x))
 
+    def logs(n):
+        g = p.q1 * n + p.q2
+        with np.errstate(invalid="ignore"):
+            la = gammaln(p.q3 + n) - gammaln(p.q3) - gammaln(n + 1.0) + n * la_x - gammaln(g)
+        return g, la
 
-def _gamma_pole(g: np.ndarray) -> np.ndarray:
-    return (g <= 0.0) & (g == np.floor(g))
-
-
-def _scan_grid(n_max: int, growth: float) -> np.ndarray:
-    """The coarse n grid of a peak scan: 0, 1, 2, ..., each step
-    max(n + 1, int(n * growth)), up to n_max."""
-    grid, n = [], 0
-    while n <= n_max:
-        grid.append(n)
-        n = max(n + 1, int(n * growth))
-    return np.array(grid, dtype=float)
+    return logs
 
 
 _PRABHAKAR_PEAK_N = _scan_grid(4000, 1.25)
-# terms of the float Prabhakar series formed per array pass
-_TERM_BLOCK = 32
 
 
 def _prabhakar_peak_log10(p: MLParams, x: float) -> float:
@@ -255,14 +322,11 @@ def _prabhakar_peak_log10(p: MLParams, x: float) -> float:
     array pass (terms at Gamma poles do not count)."""
     if x == 0.0:
         return 0.0
-    g, la = _prabhakar_term_logs(p, math.log(abs(x)), _PRABHAKAR_PEAK_N)
-    la = la[np.isfinite(la) & ~_gamma_pole(g)]
-    return (float(la.max()) if la.size else -math.inf) / math.log(10.0)
+    return _peak_log10(*_prabhakar_logs(p, x)(_PRABHAKAR_PEAK_N))
 
 
 def _prabhakar_series(p: MLParams, x: float, tol: SeriesTolerance) -> SeriesResult:
-    """The float series at x != 0; with q3 > 0 each term is
-    sign * exp(log|term|), formed _TERM_BLOCK terms per array pass."""
+    """The float series at x != 0; with q3 > 0 from the terms' logs."""
     if p.q3 <= 0:
         # direct Pochhammer recurrence; fine for the short series this
         # parameter range produces (terminating or rapidly decaying)
@@ -275,68 +339,30 @@ def _prabhakar_series(p: MLParams, x: float, tol: SeriesTolerance) -> SeriesResu
             return poch * x**n * rgamma(p.q1 * n + p.q2)
 
         return sum_series(term, tol)
-
-    la_x = math.log(abs(x))
-    terms: list = []
-
-    def term(n: int) -> float:
-        if n == len(terms):
-            k = np.arange(n, n + _TERM_BLOCK, dtype=float)
-            g, la = _prabhakar_term_logs(p, la_x, k)
-            sg = np.where(_gamma_pole(g), 0.0, gammasgn(g))
-            if x < 0.0:
-                sg[k % 2 == 1] *= -1.0
-            terms.extend(s * math.exp(v) if s else 0.0 for s, v in zip(sg.tolist(), la.tolist()))
-        return terms[n]
-
-    return sum_series(term, tol)
+    return _float_series(_prabhakar_logs(p, x), x < 0.0, tol)
 
 
 def _prabhakar_mp(p: MLParams, x: float, dps: int) -> float:
-    """The series summed at dps digits.  The loop runs on mpmath's raw
-    values with the operations and rounding of the mpf expressions
+    """The series summed at dps digits by _mp_series, the coefficient
+    (q3)_n x^n / n! carried as coef *= (q3 + n - 1) * xm / n."""
+    # parameters become exact mpf here so the Gamma argument q1*n+q2
+    # carries no float64 rounding (which the huge terms would amplify)
+    q1, q2 = mp.mpf(p.q1), mp.mpf(p.q2)
+    q3, xm = mp.mpf(p.q3)._mpf_, mp.mpf(x)._mpf_
+    unit_q3 = p.q3 == 1.0
 
-        t = coef * (+rg[n]);  s += t;  coef *= (q3 + n - 1) * xm / n
-
-    in the same order, so it gives their bits without building an mpf
-    object per operation."""
-    with mp.workdps(dps):
-        prec, rnd = mp.mp._prec_rounding  # what the mpf operators round with
-        # parameters become exact mpf here so the Gamma argument q1*n+q2
-        # carries no float64 rounding (which the huge terms would amplify)
-        q1, q2 = mp.mpf(p.q1), mp.mpf(p.q2)
-        q3, xm = mp.mpf(p.q3)._mpf_, mp.mpf(x)._mpf_
-        s = fzero
-        coef = fone  # (q3)_n x^n / n!, carried from term to term
+    def step(coef, n: int, prec: int, rnd: str):
         # with q3 = 1 every rounding of (q3 + n - 1) * xm / n is exact (n <
         # 2^19 and n * xm fit in prec bits), so the factor is xm itself;
         # every mpmath call of a law derivation, a specfun validation and an
         # msm closed form has q3 = 1, and those sums take most of their time
-        unit_q3 = p.q3 == 1.0 and prec >= 53 + 20
-        cls, rg = _rgamma_table(("prabhakar", p.q1, p.q2), dps)
-        small = 0
-        thresh = (mp.mpf(10) ** (-dps + 10))._mpf_
-        n = 0
-        while n < 500_000:
-            if n == len(rg):
-                with mp.workdps(cls):
-                    rg.append(mp.rgamma(q1 * n + q2)._mpf_)
-            t = mpf_mul(coef, mpf_pos(rg[n], prec, rnd), prec, rnd)
-            s = mpf_add(s, t, prec, rnd)
-            if mpf_lt(mpf_abs(t), thresh):
-                small += 1
-                if small >= 8:
-                    break
-            else:
-                small = 0
-            n += 1
-            if unit_q3:
-                coef = mpf_mul(coef, xm, prec, rnd)
-            else:
-                fn = from_int(n)
-                step = mpf_sub(mpf_add(q3, fn, prec, rnd), fone, prec, rnd)
-                coef = mpf_mul(coef, mpf_div(mpf_mul(step, xm, prec, rnd), fn, prec, rnd), prec, rnd)
-        return to_float(s, rnd=rnd)
+        if unit_q3 and prec >= 53 + 20:
+            return mpf_mul(coef, xm, prec, rnd)
+        fn = from_int(n)
+        fac = mpf_mul(mpf_sub(mpf_add(q3, fn, prec, rnd), fone, prec, rnd), xm, prec, rnd)
+        return mpf_mul(coef, mpf_div(fac, fn, prec, rnd), prec, rnd)
+
+    return _mp_series(("prabhakar", p.q1, p.q2), lambda n: q1 * n + q2, step, dps)
 
 
 def _prabhakar_asymptotic(p: MLParams, x: float) -> float:
@@ -384,7 +410,7 @@ def prabhakar(p: MLParams, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> floa
                 return _prabhakar_mp(p, x, dps)
             return _prabhakar_asymptotic(p, x)
     res = _prabhakar_series(p, x, tol)
-    if x < 0.0 and res.cancellation_error > max(tol.abs_tol, 1e-13 * abs(res.value)):
+    if x < 0.0 and not _accurate(res, tol):
         dps = int(_prabhakar_peak_log10(p, x)) + 25
         return _prabhakar_mp(p, x, min(dps, _DPS_CAP))
     return res.value
@@ -444,12 +470,17 @@ def multinomial_ml(
     z = list(z)
     if len(z) != len(p.alphas):
         raise ValueError("need one argument per exponent")
+    for j, v in enumerate(z):
+        # a non-finite term never counts as small, so the sum would run on
+        # to the term budget through O(n^m) composition sums
+        if not math.isfinite(v):
+            raise ValueError(f"z[{j}] must be finite, got {v}")
 
     def order_term(n: int) -> float:
         return _multinomial_order_sum(p, z, n)
 
     res = sum_series(order_term, tol)
-    if res.cancellation_error > max(tol.abs_tol, 1e-11 * abs(res.value)):
+    if not _accurate(res, tol, 1e-11):
         return _multinomial_mp(p, z, int(math.log10(max(res.max_abs_term, 1.0))) + 25)
     return res.value
 
@@ -487,65 +518,33 @@ def _multinomial_mp(p: MultinomialMLParams, z: Sequence[float], dps: int) -> flo
 # Mainardi-Wright density
 # ---------------------------------------------------------------------------
 
+def _mwright_logs(beta: float, z: float):
+    """(-beta n + 1 - beta, log|z^n / (n! Gamma(-beta n + 1 - beta))|) over
+    an array of n."""
+    lz = math.log(z)
+
+    def logs(n):
+        g = -beta * n + 1.0 - beta
+        return g, n * lz - gammaln(n + 1.0) - gammaln(g)
+
+    return logs
+
+
 def _mwright_peak_log10(beta: float, z: float) -> float:
     if z == 0.0:
         return 0.0
-    lz = math.log(z)
-    best = -math.inf
-    n = 0
-    while n <= 200_000:
-        g = -beta * n + 1.0 - beta
-        la = n * lz - gammaln(n + 1.0) - gammaln(g)
-        if math.isfinite(la):
-            best = max(best, la)
-            if n > 20 and la < best - 60:
-                break
-        n = max(n + 1, int(n * 1.2))
-    return best / math.log(10.0)
-
-
-def _mwright_series(beta: float, z: float, tol: SeriesTolerance) -> SeriesResult:
-    lz = math.log(z)
-
-    def term(n: int) -> float:
-        sg_g, lg = _sign_logrgamma(-beta * n + 1.0 - beta)
-        if sg_g == 0.0:
-            return 0.0
-        la = n * lz - gammaln(n + 1.0) + lg
-        return (-1.0) ** n * sg_g * math.exp(la)
-
-    return sum_series(term, tol)
+    return _peak_log10(*_mwright_logs(beta, z)(_PEAK_N))
 
 
 def _mwright_mp(beta: float, z: float, dps: int) -> float:
-    """The series summed at dps digits, on raw mpmath values as in
-    _prabhakar_mp; the mpf expressions are
+    """The series summed at dps digits by _mp_series, the coefficient
+    (-z)^n / n! carried as coef *= -zm / n."""
+    neg_z, bem = mpf_neg(mp.mpf(z)._mpf_), mp.mpf(beta)
 
-        coef *= -zm / n;  t = coef * (+rg[n]);  s += t."""
-    with mp.workdps(dps):
-        prec, rnd = mp.mp._prec_rounding  # what the mpf operators round with
-        neg_z = mpf_neg(mp.mpf(z)._mpf_)
-        bem = mp.mpf(beta)
-        s = fzero
-        coef = fone  # (-z)^n / n!, carried from term to term
-        cls, rg = _rgamma_table(("mwright", beta), dps)
-        small = 0
-        thresh = (mp.mpf(10) ** (-dps + 10))._mpf_
-        for n in range(500_000):
-            if n:
-                coef = mpf_mul(coef, mpf_div(neg_z, from_int(n), prec, rnd), prec, rnd)
-            if n == len(rg):
-                with mp.workdps(cls):
-                    rg.append(mp.rgamma(-bem * n + 1 - bem)._mpf_)
-            t = mpf_mul(coef, mpf_pos(rg[n], prec, rnd), prec, rnd)
-            s = mpf_add(s, t, prec, rnd)
-            if mpf_lt(mpf_abs(t), thresh):
-                small += 1
-                if small >= 8:
-                    break
-            else:
-                small = 0
-        return to_float(s, rnd=rnd)
+    def step(coef, n: int, prec: int, rnd: str):
+        return mpf_mul(coef, mpf_div(neg_z, from_int(n), prec, rnd), prec, rnd)
+
+    return _mp_series(("mwright", beta), lambda n: -bem * n + 1 - bem, step, dps)
 
 
 def _mwright_asymptotic(beta: float, z: float) -> float:
@@ -581,8 +580,8 @@ def mwright_density(beta: float, z: float, tol: SeriesTolerance = DEFAULT_TOL) -
         return rgamma(1.0 - beta)
     peak = _mwright_peak_log10(beta, z)
     if peak <= 13.0:
-        res = _mwright_series(beta, z, tol)
-        if res.cancellation_error <= max(tol.abs_tol, 1e-13 * abs(res.value)):
+        res = _float_series(_mwright_logs(beta, z), True, tol)
+        if _accurate(res, tol):
             return max(res.value, 0.0)
     dps = int(peak) + 25
     if dps <= _DPS_CAP:
@@ -655,7 +654,7 @@ def appell_f3(
             else:
                 small = 0
             if n_terms > tol.max_terms:
-                raise _budget(tol)
+                raise TruncationBudgetExceeded(f"F3 double sum exceeded {tol.max_terms} terms")
         row_sum = math.fsum(row)
         total.append(row_sum)
         if abs(row_sum) < tol.abs_tol and abs(row_head) < tol.abs_tol:
@@ -667,13 +666,5 @@ def appell_f3(
         row_head = row_head * (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x
         m += 1
         if n_terms > tol.max_terms:
-            raise _budget(tol)
+            raise TruncationBudgetExceeded(f"F3 double sum exceeded {tol.max_terms} terms")
     return math.fsum(total)
-
-
-def _budget(tol: SeriesTolerance):
-    from .series import TruncationBudgetExceeded
-
-    return TruncationBudgetExceeded(
-        f"F3 double sum exceeded {tol.max_terms} terms"
-    )

@@ -282,6 +282,11 @@ class TestSpecfunArguments:
         assert rc == EXIT_SCHEMA
         assert capsys.readouterr().err.strip() == "invalid input: x must be a number, got nan"
 
+    def test_non_finite_multinomial_argument_exits_2_naming_it(self, capsys):
+        rc = main(["specfun", "--fn", "multinomial_ml", "--params", "0.5,0.3,1.0,1.0,1.0", "--x=nan:nan:1"])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err.strip() == "invalid input: z[0] must be finite, got nan"
+
     def test_missing_parameter_exits_2(self, capsys):
         rc = main(["specfun", "--fn", "ml", "--x=nan:nan:1"])
         assert rc == EXIT_SCHEMA

@@ -7,6 +7,7 @@ cross-identities used to validate them.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -372,6 +373,16 @@ class TestNonFiniteArguments:
         with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
             call()
 
+    def test_ml_at_minus_infinity_is_its_limit(self):
+        assert mittag_leffler(0.6, -math.inf) == 0.0
+
+    @pytest.mark.parametrize("z, name, value", [([math.nan, -0.2], "z[0]", "nan"), ([-0.5, -math.inf], "z[1]", "-inf")])
+    def test_multinomial_rejects_a_non_finite_argument_by_name(self, z, name, value):
+        # a non-finite order sum never counts as small: the sum used to run
+        # on through its composition sums towards the term budget
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got {value}$"):
+            multinomial_ml(MultinomialMLParams((0.5, 0.3), 1.0), z)
+
 
 def prabhakar_peak_log10_loop(p, x):
     """The Prabhakar peak scan one grid point at a time."""
@@ -547,3 +558,112 @@ class TestMpSumsOnRawValues:
     @given(beta=st.floats(0.45, 0.7), z=st.floats(4.0, 12.0), dps=st.integers(26, 90))
     def test_mwright(self, beta, z, dps):
         assert _mwright_mp(beta, z, dps) == mwright_mp_objects(beta, z, dps)
+
+
+def ml_peak_log10_loop(beta, x):
+    """The Mittag-Leffler peak scan one grid point at a time, stopping 60
+    e-folds below the largest term."""
+    lx = math.log(abs(x))
+    best = -math.inf
+    n = 0
+    while n <= 200_000:
+        la = n * lx - gammaln(beta * n + 1.0)
+        best = max(best, la)
+        if n > 20 and la < best - 60:
+            break
+        n = max(n + 1, int(n * 1.2))
+    return best / math.log(10.0)
+
+
+def mwright_peak_log10_loop(beta, z):
+    """The Wright peak scan one grid point at a time, skipping non-finite
+    logs (the Gamma poles) and stopping 60 e-folds below the largest term."""
+    if z == 0.0:
+        return 0.0
+    lz = math.log(z)
+    best = -math.inf
+    n = 0
+    while n <= 200_000:
+        g = -beta * n + 1.0 - beta
+        la = n * lz - gammaln(n + 1.0) - gammaln(g)
+        if math.isfinite(la):
+            best = max(best, la)
+            if n > 20 and la < best - 60:
+                break
+        n = max(n + 1, int(n * 1.2))
+    return best / math.log(10.0)
+
+
+def ml_series_loop(beta, x, tol):
+    """The float Mittag-Leffler series one term at a time."""
+    lx = math.log(abs(x))
+    sg = 1.0 if x > 0 else -1.0
+    return sum_series(lambda n: sg**n * math.exp(n * lx - gammaln(beta * n + 1.0)), tol)
+
+
+def mwright_series_loop(beta, z, tol):
+    """The float Wright series one term at a time."""
+    lz = math.log(z)
+
+    def term(n):
+        g = -beta * n + 1.0 - beta
+        if g <= 0.0 and g == math.floor(g):
+            return 0.0
+        sg_g, lg = float(gammasgn(g)), -float(gammaln(g))
+        la = n * lz - gammaln(n + 1.0) + lg
+        return (-1.0) ** n * sg_g * math.exp(la)
+
+    return sum_series(term, tol)
+
+
+def assert_same_sum(got_fn, ref_fn):
+    """Equal (value, terms, largest term), or the same exception."""
+    try:
+        ref = ref_fn()
+    except (OverflowError, TruncationBudgetExceeded) as exc:
+        with pytest.raises(type(exc)):
+            got_fn()
+        return
+    got = got_fn()
+    assert (got.value, got.n_terms, got.max_abs_term) == (ref.value, ref.n_terms, ref.max_abs_term)
+
+
+class TestSharedSeriesEqualTheLoops:
+    """The Mittag-Leffler and Wright series through the shared array peak
+    scan and blocked float sum give the bits of their one-term loops."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 0.99), x=st.floats(-1e3, -1e-3))
+    @example(beta=0.5, x=-40.0)
+    @example(beta=0.05, x=-1e-3)
+    def test_ml_peak(self, beta, x):
+        got = specfun._peak_log10(*specfun._ml_logs(beta, x)(specfun._PEAK_N))
+        assert got == ml_peak_log10_loop(beta, x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 0.95), z=st.floats(1e-3, 60.0))
+    @example(beta=0.25, z=7.0)  # Gamma poles at n = 3, 7, 11, ...
+    @example(beta=0.5, z=20.0)  # poles at every odd n
+    @example(beta=0.75, z=3.0)  # poles at n = 1, 3, 5, ...
+    def test_mwright_peak(self, beta, z):
+        assert _mwright_peak_log10(beta, z) == mwright_peak_log10_loop(beta, z)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 0.99), x=st.floats(-60.0, 60.0))
+    @example(beta=0.5, x=-5.0)
+    @example(beta=0.3, x=700.0)  # a term overflows
+    def test_ml_series(self, beta, x):
+        assume(x != 0.0)
+        logs = specfun._ml_logs(beta, x)
+        assert_same_sum(lambda: specfun._float_series(logs, x < 0.0, DEFAULT_TOL),
+                        lambda: ml_series_loop(beta, x, DEFAULT_TOL))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 0.95), z=st.floats(1e-3, 12.0))
+    @example(beta=0.25, z=7.0)
+    @example(beta=0.5, z=3.0)
+    @example(beta=0.75, z=2.0)
+    def test_mwright_series(self, beta, z):
+        logs = specfun._mwright_logs(beta, z)
+        assert_same_sum(lambda: specfun._float_series(logs, True, DEFAULT_TOL),
+                        lambda: mwright_series_loop(beta, z, DEFAULT_TOL))
