@@ -1,20 +1,26 @@
 """Mittag-Leffler family, Wright density and Appell F3 evaluation.
 
 These are the building blocks for every closed-form memory function and
-mixing density in the package.  The evaluation strategy is uniform:
+mixing density in the package.  The Mittag-Leffler, Prabhakar and Wright
+series are described once each, by the logs of their terms, and share one
+evaluation ladder:
 
-* direct float64 series while the estimated cancellation floor stays below
-  tolerance (the series are entire, single-peaked and alternate for the
-  negative arguments that occur in practice),
-* once float64 cancellation would bite, a completely-monotone integral
-  representation (one-parameter case), evaluated by a fixed-node trapezoid
-  rule that serves a whole array of arguments in one pass, or an
-  adaptive-precision mpmath summation (three-parameter / multinomial /
-  Wright cases),
+* one peak scan, an array pass over a coarse grid of term indices, gives
+  the largest term and so the digits a float64 sum would lose,
+* one float64 sum, its terms formed in blocks from their logs, serves
+  while its estimated cancellation floor stays within tolerance (one
+  acceptance rule: 1e-13 relative, 1e-11 for the multinomial sum; the
+  series are entire, single-peaked and alternate for the negative
+  arguments that occur in practice),
+* past that, a completely-monotone integral representation (one-parameter
+  case), evaluated by a fixed-node trapezoid rule that serves a whole
+  array of arguments in one pass, or one adaptive-precision mpmath sum
+  over shared 1/Gamma tables (Prabhakar and Wright cases; the multinomial
+  sum has its own, its terms being composition sums),
 * a large-argument asymptotic branch where even high-precision summation
-  is uneconomical; there the functions are needed only in regimes where
-  relative accuracy of a few percent is harmless (Laplace-inversion nodes,
-  density tails).
+  is uneconomical: the Prabhakar asymptotic series, optimally truncated,
+  and the Wright density's stretched-exponential tail, within 2e-3 where
+  it takes over.
 
 Reciprocal-gamma convention: 1/Gamma at a non-positive integer is zero and
 the corresponding term is dropped.
@@ -370,29 +376,23 @@ def _prabhakar_asymptotic(p: MLParams, x: float) -> float:
 
         sum_k (-1)^k (q3)_k / (k! Gamma(q2 - q1(q3+k))) * |x|^{-q3-k}
 
-    truncated at the smallest term (optimal truncation).
+    truncated before the first term whose envelope grows (optimal
+    truncation).  The envelope bounds |1/Gamma(g)| by Gamma(1 - g)/pi for
+    g < 1/2 (reflection formula): near a pole of Gamma the term itself is
+    near zero and would pass for the smallest.
     """
-    ax = -x
-    la_x = math.log(ax)
+    la_x = math.log(-x)
     acc = []
     prev = math.inf
     for k in range(0, 200):
-        sg_g, lg = _sign_logrgamma(p.q2 - p.q1 * (p.q3 + k))
-        if sg_g == 0.0:
-            acc.append(0.0)
-            continue
-        la = (
-            gammaln(p.q3 + k)
-            - gammaln(p.q3)
-            - gammaln(k + 1.0)
-            - (p.q3 + k) * la_x
-            + lg
-        )
-        mag = math.exp(la)
-        if mag > prev:
+        g = p.q2 - p.q1 * (p.q3 + k)
+        sg_g, lg = _sign_logrgamma(g)
+        la = gammaln(p.q3 + k) - gammaln(p.q3) - gammaln(k + 1.0) - (p.q3 + k) * la_x
+        envelope = la + (gammaln(1.0 - g) - math.log(pi) if g < 0.5 else lg)
+        if envelope > prev:
             break
-        acc.append((-1.0) ** k * sg_g * mag)
-        prev = mag
+        acc.append((-1.0) ** k * sg_g * math.exp(la + lg))
+        prev = envelope
     return math.fsum(acc)
 
 
@@ -471,8 +471,8 @@ def multinomial_ml(
     if len(z) != len(p.alphas):
         raise ValueError("need one argument per exponent")
     for j, v in enumerate(z):
-        # a non-finite term never counts as small, so the sum would run on
-        # to the term budget through O(n^m) composition sums
+        # a non-finite order sum never counts as small, so the sum would
+        # run on towards the term budget through ever longer composition sums
         if not math.isfinite(v):
             raise ValueError(f"z[{j}] must be finite, got {v}")
 
@@ -587,8 +587,9 @@ def mwright_density(beta: float, z: float, tol: SeriesTolerance = DEFAULT_TOL) -
     if dps <= _DPS_CAP:
         value = _mwright_mp(beta, z, dps)
         # the sum is off by about 0.1 * 10^(peak - dps), a relative error
-        # of 1e-4 at 10^3 times that floor; below it the asymptote (within
-        # 1e-3 in the far tail) is the more accurate value
+        # of 1e-4 at 10^3 times that floor; below it the asymptote serves,
+        # within 2e-3 where it takes over (measured against mpmath for beta
+        # in [0.3, 0.85]) and closer further out
         if value >= 10.0 ** (peak - dps + 3):
             return value
     return _mwright_asymptotic(beta, z)

@@ -146,6 +146,21 @@ class TestDispatchAndInvariants:
         d2 = time_change_draws(law, 2.0, 77, 500)
         assert np.allclose(d2, d1 * 2.0**k.theta, rtol=1e-12)
 
+    def test_numeric_cdf_law_of_a_kernel_near_a_gamma_pole(self):
+        # 1 + mu - 2 b / a = -0.0026 puts a Prabhakar asymptote term next to
+        # a pole of Gamma; the Laplace inversion of the law amplifies any
+        # error of that branch
+        from subfrac.kernels import MSMKernel
+        from subfrac.phi import phi_closed
+
+        k = MSMKernel(a=1.52, b=0.99, mu=0.3, nu=1.52)
+        law = derive_time_change_law(k, [1.0])
+        draws = time_change_draws(law, 1.0, 77, 50_000)
+        for lam in (0.5, 1.0, 2.0):
+            w = np.exp(-lam * draws)
+            se = np.std(w, ddof=1) / math.sqrt(len(w))
+            assert abs(np.mean(w) - phi_closed(k, 1.0, -lam)) < 4.0 * se + 2e-3
+
 
 class TestRepresentations:
     @pytest.mark.parametrize("rep", ["timechanged_bm", "scaled_bm", "scaled_fbm"])

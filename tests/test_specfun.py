@@ -187,6 +187,29 @@ class TestMWright:
             mwright_density(0.5, -0.1)
 
 
+class TestMWrightBranchSwitches:
+    """The density against mpmath sums at (peak - log10 value + 30) digits,
+    on z grids that run from the float sum through the mpmath sum into the
+    asymptote; the worst point is where the asymptote takes over (2.0e-3 at
+    beta = 0.3, z = 27.5)."""
+
+    @pytest.mark.parametrize(
+        "beta, z_lo, z_hi, step",
+        [(0.3, 4.0, 30.0, 0.5), (0.5, 3.0, 16.0, 0.5), (0.6, 3.0, 11.0, 0.5),
+         (0.75, 2.0, 5.5, 0.25), (0.85, 1.5, 3.0, 0.125)],
+    )
+    def test_within_2e_3_of_mpmath(self, beta, z_lo, z_hi, step):
+        zs = np.arange(z_lo, z_hi + step / 2, step)
+        assert _mwright_peak_log10(beta, zs[0]) <= 13.0  # the float sum serves
+        assert mwright_density(beta, zs[-1]) == specfun._mwright_asymptotic(beta, zs[-1])
+        worst = 0.0
+        for z in zs:
+            v = mwright_density(beta, z)
+            dps = int(max(_mwright_peak_log10(beta, z), 0.0) - math.log10(v)) + 30
+            worst = max(worst, abs(v / mwright_mp_termwise(beta, z, dps) - 1.0))
+        assert worst <= 2e-3
+
+
 class TestAppellF3:
     def test_unit_at_origin(self):
         assert appell_f3(0.5, 0.5, 1, 1, 1.5, 0.0, 0.0) == 1.0
@@ -320,6 +343,26 @@ def mwright_mp_termwise(beta, z, dps):
             if small >= 8:
                 break
         return float(s)
+
+
+class TestPrabhakarAsymptote:
+    """Past 150 digits of cancellation the asymptotic series serves; its
+    truncation must not stop at a term that is small only because its
+    1/Gamma factor sits next to a pole."""
+
+    @pytest.mark.parametrize(
+        "q, x",
+        [
+            ((0.99 / 1.52, 1.3, 1.0), -60.0),  # Gamma argument -0.0026 at k = 1
+            ((0.522, 0.909, 1.741), -26.0),
+        ],
+    )
+    def test_matches_an_mpmath_sum(self, q, x):
+        p = MLParams(*q)
+        peak = _prabhakar_peak_log10(p, x)
+        assert int(peak) + 25 > specfun._DPS_CAP  # beyond the mpmath branch
+        ref = prabhakar_mp_termwise(p, x, int(peak) + 30)
+        assert abs(prabhakar(p, x) / ref - 1.0) <= 1e-12
 
 
 class TestMpSeriesRunningProducts:
