@@ -421,8 +421,8 @@ class TestNonFiniteArguments:
 
     @pytest.mark.parametrize("z, name, value", [([math.nan, -0.2], "z[0]", "nan"), ([-0.5, -math.inf], "z[1]", "-inf")])
     def test_multinomial_rejects_a_non_finite_argument_by_name(self, z, name, value):
-        # a non-finite order sum never counts as small: the sum used to run
-        # on through its composition sums towards the term budget
+        # a non-finite order sum never counts as small, so the sum would
+        # run on through its composition sums towards the term budget
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got {value}$"):
             multinomial_ml(MultinomialMLParams((0.5, 0.3), 1.0), z)
 
