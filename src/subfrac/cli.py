@@ -31,11 +31,12 @@ from .fk import (
     ProcessModel,
     RsgpScopeError,
     StableLevy,
+    StepCountInsufficient,
     ZeroPotential,
     derive_time_change_law,
     solve,
 )
-from .kernels import InvalidParameters, NormDivergent, QuadratureFailure, make_kernel
+from .kernels import FAMILIES, InvalidParameters, NormDivergent, QuadratureFailure, make_kernel
 from .phi import (
     ClosedFormPhi,
     InversionUnstable,
@@ -82,6 +83,8 @@ _NUMERICAL_ERRORS = (
     QuadratureFailure,
     GridTooCoarse,
     NoClosedForm,
+    StepCountInsufficient,
+    OverflowError,
 )
 _SCHEMA_ERRORS = (InvalidParameters, jsonschema.ValidationError, ValueError, KeyError)
 
@@ -96,23 +99,13 @@ PROBLEM_SCHEMA = {
             "additionalProperties": False,
             "required": ["family"],
             "properties": {
-                "family": {
-                    "enum": [
-                        "ggbm",
-                        "msm",
-                        "fractional_power",
-                        "conv_power_sum",
-                        "conv_multinomial_ml",
-                    ]
+                "family": {"enum": list(FAMILIES)},
+                **{name: {"type": "number"} for _, scalars, _ in FAMILIES.values() for name in scalars},
+                **{
+                    name: {"type": "array", "items": {"type": "number"}}
+                    for _, _, pairs in FAMILIES.values()
+                    for name in pairs
                 },
-                "alpha": {"type": "number"},
-                "beta": {"type": "number"},
-                "a": {"type": "number"},
-                "b": {"type": "number"},
-                "mu": {"type": "number"},
-                "nu": {"type": "number"},
-                "betas": {"type": "array", "items": {"type": "number"}},
-                "bs": {"type": "array", "items": {"type": "number"}},
             },
         },
         "process": {
@@ -315,28 +308,28 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def _parse_kernel_arg(spec: str) -> dict:
-    """family:comma-separated-params, e.g. ggbm:0.8,0.6, msm:2,1,0.5,2 or
-    conv_multinomial_ml:beta,beta1,b1[,beta2,b2...]."""
+    """family:comma-separated-params, the family's scalar parameters in
+    their kernels.FAMILIES order, then for a convolution family one or more
+    (beta_j, b_j) pairs: e.g. ggbm:0.8,0.6, msm:2,1,0.5,2 or
+    conv_power_sum:beta,beta1,b1[,beta2,b2...]."""
     fam, _, rest = spec.partition(":")
     vals = [float(v) for v in rest.split(",")] if rest else []
-    if fam == "conv_multinomial_ml":
-        if len(vals) < 3 or len(vals) % 2 == 0:
-            raise ValueError(
-                f"kernel 'conv_multinomial_ml' needs beta followed by (beta_j, b_j) pairs, "
-                f"got {len(vals)} parameters"
-            )
-        return {"family": fam, "beta": vals[0], "betas": vals[1::2], "bs": vals[2::2]}
-    if fam == "ggbm":
-        keys = ["alpha", "beta"]
-    elif fam == "msm":
-        keys = ["a", "b", "mu", "nu"]
-    elif fam == "fractional_power":
-        keys = ["beta"]
-    else:
-        raise ValueError(f"unsupported kernel spec {spec!r}")
-    if len(vals) != len(keys):
-        raise ValueError(f"kernel {fam!r} needs {len(keys)} parameters")
-    return {"family": fam, **dict(zip(keys, vals))}
+    try:
+        _, scalars, pairs = FAMILIES[fam]
+    except KeyError:
+        raise ValueError(f"unsupported kernel spec {spec!r}") from None
+    n = len(scalars)
+    out = {"family": fam, **dict(zip(scalars, vals))}
+    if not pairs:
+        if len(vals) != n:
+            raise ValueError(f"kernel {fam!r} needs {n} parameters")
+        return out
+    if len(vals) < n + 2 or (len(vals) - n) % 2:
+        raise ValueError(
+            f"kernel {fam!r} needs {', '.join(scalars)} followed by (beta_j, b_j) pairs, "
+            f"got {len(vals)} parameters"
+        )
+    return {**out, **dict(zip(pairs, (vals[n::2], vals[n + 1 :: 2])))}
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phi", help="three-way memory-function table")
-    p.add_argument("--kernel", required=True, help="family:params, e.g. ggbm:0.8,0.6")
+    p.add_argument("--kernel", required=True, help="family:params, e.g. ggbm:0.8,0.6 or conv_power_sum:0.5,0.3,0.5")
     p.add_argument("--t", required=True, help="start:stop:count")
     p.add_argument("--lambda", dest="lambda_range", required=True, help="start:stop:count (used as -lambda)")
     p.add_argument("--grid-steps", type=int, default=2048)
@@ -536,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel", default="ggbm:0.8,0.6",
-        help="for --dist time_change; family:params as for phi, or "
-        "conv_multinomial_ml:beta,beta1,b1[,beta2,b2...]",
+        help="for --dist time_change; family:params as for phi",
     )
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=0.5)
@@ -574,10 +566,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except RsgpScopeError as exc:
-        print(f"scope violation: {exc}", file=sys.stderr)
-        return EXIT_SCOPE
-    except InvalidHurst as exc:
+    except (RsgpScopeError, InvalidHurst) as exc:
         print(f"scope violation: {exc}", file=sys.stderr)
         return EXIT_SCOPE
     except _NUMERICAL_ERRORS as exc:

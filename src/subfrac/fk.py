@@ -351,30 +351,34 @@ def _cdf_nodes(evaluator, t: float = 1.0, n_nodes: int = 240) -> np.ndarray:
 # flow map for the diffusion case
 # ---------------------------------------------------------------------------
 
+def _rk4(sigma: Callable, x: float, step: float, n_steps: int) -> np.ndarray:
+    """The trajectory z_0 = x, ..., z_{n_steps} of dz/dy = sigma(z) by
+    classical fourth-order Runge-Kutta with a fixed step."""
+    out = np.empty(n_steps + 1)
+    out[0] = x
+    z = float(x)
+    for i in range(n_steps):
+        k1 = sigma(z)
+        k2 = sigma(z + 0.5 * step * k1)
+        k3 = sigma(z + 0.5 * step * k2)
+        k4 = sigma(z + step * k3)
+        z = z + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = z
+    return out
+
+
 def doss_sussmann_flow(
     sigma: Callable, y: float, x: float, ode_steps: int = 64, rich_tol: float = 1e-7
 ) -> float:
     """g(y, x): the flow of dz/dy = sigma(z) from z(0) = x, by classical
     fourth-order Runge-Kutta with step y/ode_steps.  A Richardson estimate
     against the half-step count guards the step budget."""
-
-    def integrate(n: int) -> float:
-        h = y / n
-        z = x
-        for _ in range(n):
-            k1 = sigma(z)
-            k2 = sigma(z + 0.5 * h * k1)
-            k3 = sigma(z + 0.5 * h * k2)
-            k4 = sigma(z + h * k3)
-            z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return z
-
     if y == 0.0:
         return float(x)
     if ode_steps < 2:
         raise StepCountInsufficient("need at least 2 flow steps")
-    fine = integrate(ode_steps)
-    coarse = integrate(max(ode_steps // 2, 1))
+    fine = _rk4(sigma, x, y / ode_steps, ode_steps)[-1]
+    coarse = _rk4(sigma, x, y / (ode_steps // 2), ode_steps // 2)[-1]
     err = abs(fine - coarse) / 15.0
     if err > rich_tol * max(1.0, abs(fine)):
         raise StepCountInsufficient(
@@ -410,21 +414,7 @@ def flow_map(sigma: Callable, y_values, x: float, nodes_per_unit: int = 512) -> 
             f"flow map over the driver span [{y_lo:.6g}, {y_hi:.6g}] needs {n} nodes, "
             f"above the bound of {_MAX_FLOW_NODES}"
         )
-
-    def run(step: float, n_steps: int) -> np.ndarray:
-        out = np.empty(n_steps + 1)
-        out[0] = x
-        z = float(x)
-        for i in range(n_steps):
-            k1 = sigma(z)
-            k2 = sigma(z + 0.5 * step * k1)
-            k3 = sigma(z + 0.5 * step * k2)
-            k4 = sigma(z + step * k3)
-            z = z + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i + 1] = z
-        return out
-
-    z_grid = np.concatenate((run(-h, -k_lo)[:0:-1], run(h, k_hi)))
+    z_grid = np.concatenate((_rk4(sigma, x, -h, -k_lo)[:0:-1], _rk4(sigma, x, h, k_hi)))
     return PchipInterpolator(np.arange(k_lo, k_hi + 1) * h, z_grid)(y_values)
 
 

@@ -14,6 +14,12 @@ used for the coefficient recursion
 whose values build the memory function's power series.  Homogeneous
 kernels satisfy k(t, t*s) = t^{theta-1} k(1, s) and carry their degree in
 ``theta``.
+
+Each family states its float formula once, as that factorisation: its
+``parts()``.  ``MemoryKernel.eval`` derives k(t, s) from the parts; only a
+user-supplied ``CustomKernel``, whose parts are derived from its function,
+evaluates k directly.  ``FAMILIES`` names each family's class and
+parameters for ``make_kernel``, the command line and the problem schema.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -37,6 +43,7 @@ __all__ = [
     "ConvMultinomialMLKernel",
     "ConvPowerSumKernel",
     "CustomKernel",
+    "FAMILIES",
     "FractionalPowerKernel",
     "GGBMKernel",
     "InvalidParameters",
@@ -152,7 +159,9 @@ class MemoryKernel:
 
     # -- evaluation -------------------------------------------------------
     def eval(self, t: float, s):
-        raise NotImplementedError
+        """k(t, s) = sum_i regular_i(t, s) (t - s)^{p_end,i} over the parts."""
+        s = np.asarray(s, dtype=float)
+        return sum(part.regular(t, s) * (t - s) ** part.p_end for part in self.parts())
 
     def parts(self) -> list[SingularPart]:
         raise NotImplementedError
@@ -171,9 +180,22 @@ class MemoryKernel:
         the parameter constants computed once (homogeneous families only)."""
         raise NotImplementedError(f"{self.family} has no high-precision path")
 
-    def hp_unit_eval(self, s: mp.mpf) -> mp.mpf:
-        """k(1, s) in mpmath arithmetic at the current precision."""
-        return self.hp_unit()(s)
+
+def _power_parts(terms) -> list[SingularPart]:
+    """The parts of sum_j w_j (t-s)^{e_j-1} / Gamma(e_j), one constant
+    part per (e_j, w_j) of terms."""
+    out = []
+    for expo, w in terms:
+        c = w / sp_gamma(expo)
+        out.append(
+            SingularPart(
+                p_end=expo - 1.0,
+                p_zero=0.0,
+                regular=lambda t, s, c=c: np.full_like(np.asarray(s, float), c),
+                conv_profile=lambda tau, c=c: np.full_like(np.asarray(tau, float), c),
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,20 +210,8 @@ class FractionalPowerKernel(MemoryKernel):
             raise InvalidParameters("fractional_power requires 0 < beta <= 1")
         object.__setattr__(self, "theta", self.beta)
 
-    def eval(self, t, s):
-        s = np.asarray(s, dtype=float)
-        return (t - s) ** (self.beta - 1.0) / sp_gamma(self.beta)
-
     def parts(self):
-        c = 1.0 / sp_gamma(self.beta)
-        return [
-            SingularPart(
-                p_end=self.beta - 1.0,
-                p_zero=0.0,
-                regular=lambda t, s, c=c: np.full_like(np.asarray(s, float), c),
-                conv_profile=lambda tau, c=c: np.full_like(np.asarray(tau, float), c),
-            )
-        ]
+        return _power_parts([(self.beta, 1.0)])
 
     def hp_unit(self):
         e, g = mp.mpf(self.beta) - 1, mp.gamma(mp.mpf(self.beta))
@@ -227,21 +237,9 @@ class GGBMKernel(MemoryKernel):
             raise InvalidParameters("ggbm requires 0 < beta <= 1")
         object.__setattr__(self, "theta", self.alpha)
 
-    @property
-    def _a(self) -> float:
-        return self.alpha / self.beta
-
-    @property
-    def _c(self) -> float:
-        return self.alpha / (self.beta * sp_gamma(self.beta))
-
-    def eval(self, t, s):
-        s = np.asarray(s, dtype=float)
-        a = self._a
-        return self._c * s ** (a - 1.0) * (t**a - s**a) ** (self.beta - 1.0)
-
     def parts(self):
-        a, c, be = self._a, self._c, self.beta
+        a, be = self.alpha / self.beta, self.beta
+        c = self.alpha / (self.beta * sp_gamma(self.beta))
 
         def regular(t, s):
             s = np.asarray(s, dtype=float)
@@ -288,10 +286,6 @@ class MSMKernel(MemoryKernel):
             raise InvalidParameters("msm requires nu > max(a-b, -a*mu)")
         object.__setattr__(self, "theta", self.b)
 
-    @property
-    def _pref(self) -> float:
-        return self.a / sp_gamma(self.b / self.a)
-
     def _f3(self, t, s):
         a, b, mu, nu = self.a, self.b, self.mu, self.nu
         s = np.asarray(s, dtype=float)
@@ -310,24 +304,14 @@ class MSMKernel(MemoryKernel):
             lambda xv, yv: appell_f3(nu / a - 1.0, b / a, 1.0, mu, b / a, xv, yv)
         )(x, y)
 
-    def eval(self, t, s):
-        s = np.asarray(s, dtype=float)
-        a, b, nu = self.a, self.b, self.nu
-        return (
-            self._pref
-            * (t**a - s**a) ** (b / a - 1.0)
-            * t ** (a - nu)
-            * s ** (nu - 1.0)
-            * self._f3(t, s)
-        )
-
     def parts(self):
         a, b, mu, nu = self.a, self.b, self.mu, self.nu
+        pref = a / sp_gamma(b / a)
 
         def regular(t, s):
             s = np.asarray(s, dtype=float)
             ratio = _stable_power_ratio(t, s, a) ** (b / a - 1.0)
-            return self._pref * ratio * t ** (a - nu) * s ** (nu - 1.0) * self._f3(t, s)
+            return pref * ratio * t ** (a - nu) * s ** (nu - 1.0) * self._f3(t, s)
 
         if nu == a:
             p_zero = nu - 1.0 + a * mu
@@ -355,22 +339,34 @@ class MSMKernel(MemoryKernel):
         return lambda s: base(s) * mp.hyp2f1(h1, 1, h3, 1 - s**a)
 
 
-def _validate_conv_exponents(beta: float, betas: Sequence[float], bs: Sequence[float]):
-    if not 0.0 < beta <= 1.0:
-        raise InvalidParameters("requires 0 < beta <= 1")
-    if len(betas) != len(bs):
-        raise InvalidParameters("betas and bs must have equal length")
-    prev = beta
-    for bj in betas:
-        if not 0.0 < bj < prev:
-            raise InvalidParameters("requires beta > beta_1 > ... > beta_m > 0")
-        prev = bj
-    if any(w <= 0 for w in bs):
-        raise InvalidParameters("requires all b_j > 0")
+@dataclass(frozen=True)
+class _ConvolutionKernel(MemoryKernel):
+    """A convolution kernel K(t - s): leading exponent beta and the
+    (beta_j, b_j) pairs of its lower-order terms."""
+
+    beta: float
+    betas: tuple[float, ...] = ()
+    bs: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "betas", tuple(float(v) for v in self.betas))
+        object.__setattr__(self, "bs", tuple(float(v) for v in self.bs))
+        if not 0.0 < self.beta <= 1.0:
+            raise InvalidParameters("requires 0 < beta <= 1")
+        if len(self.betas) != len(self.bs):
+            raise InvalidParameters("betas and bs must have equal length")
+        prev = self.beta
+        for bj in self.betas:
+            if not 0.0 < bj < prev:
+                raise InvalidParameters("requires beta > beta_1 > ... > beta_m > 0")
+            prev = bj
+        if any(w <= 0 for w in self.bs):
+            raise InvalidParameters("requires all b_j > 0")
+        object.__setattr__(self, "theta", self.beta if not self.betas else None)
 
 
 @dataclass(frozen=True)
-class ConvPowerSumKernel(MemoryKernel):
+class ConvPowerSumKernel(_ConvolutionKernel):
     """Convolution kernel  K(tau) = tau^{beta-1}/Gamma(beta)
     + sum_j b_j tau^{beta_j-1}/Gamma(beta_j)  (a mixture of power kernels;
     the associated generalized derivative is a mixture of classical
@@ -378,59 +374,21 @@ class ConvPowerSumKernel(MemoryKernel):
     Bernstein function h(s) = (s^{-beta} + sum_j b_j s^{-beta_j})^{-1}.
     """
 
-    beta: float
-    betas: tuple[float, ...] = ()
-    bs: tuple[float, ...] = ()
     family: str = field(default="conv_power_sum", init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "betas", tuple(float(v) for v in self.betas))
-        object.__setattr__(self, "bs", tuple(float(v) for v in self.bs))
-        _validate_conv_exponents(self.beta, self.betas, self.bs)
-        object.__setattr__(self, "theta", self.beta if not self.betas else None)
-
-    def eval(self, t, s):
-        tau = t - np.asarray(s, dtype=float)
-        out = tau ** (self.beta - 1.0) / sp_gamma(self.beta)
-        for bj, wj in zip(self.betas, self.bs):
-            out = out + wj * tau ** (bj - 1.0) / sp_gamma(bj)
-        return out
-
     def parts(self):
-        out = []
-        for expo, w in [(self.beta, 1.0)] + list(zip(self.betas, self.bs)):
-            c = w / sp_gamma(expo)
-            out.append(
-                SingularPart(
-                    p_end=expo - 1.0,
-                    p_zero=0.0,
-                    regular=lambda t, s, c=c: np.full_like(np.asarray(s, float), c),
-                    conv_profile=lambda tau, c=c: np.full_like(
-                        np.asarray(tau, float), c
-                    ),
-                )
-            )
-        return out
+        return _power_parts([(self.beta, 1.0), *zip(self.betas, self.bs)])
 
 
 @dataclass(frozen=True)
-class ConvMultinomialMLKernel(MemoryKernel):
+class ConvMultinomialMLKernel(_ConvolutionKernel):
     """Convolution kernel  K(tau) = tau^{beta-1} *
     E_{(beta-beta_1,...,beta-beta_m),beta}(-b_1 tau^{beta-beta_1}, ...),
     whose reciprocal Laplace transform is the Bernstein function
     h(s) = s^beta + sum_j b_j s^{beta_j}.
     """
 
-    beta: float
-    betas: tuple[float, ...] = ()
-    bs: tuple[float, ...] = ()
     family: str = field(default="conv_multinomial_ml", init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "betas", tuple(float(v) for v in self.betas))
-        object.__setattr__(self, "bs", tuple(float(v) for v in self.bs))
-        _validate_conv_exponents(self.beta, self.betas, self.bs)
-        object.__setattr__(self, "theta", self.beta if not self.betas else None)
 
     def _profile(self, tau):
         """K(tau) * tau^{1-beta}, smooth and equal to 1/Gamma(beta) at 0+."""
@@ -450,10 +408,6 @@ class ConvMultinomialMLKernel(MemoryKernel):
             ]
         )
         return out.reshape(tau.shape) if tau.shape else out[0]
-
-    def eval(self, t, s):
-        tau = t - np.asarray(s, dtype=float)
-        return tau ** (self.beta - 1.0) * self._profile(tau)
 
     def parts(self):
         return [
@@ -479,12 +433,6 @@ class TimeStretchedKernel(MemoryKernel):
         if self.base.theta is not None and self.stretch.power is not None:
             th = self.stretch.power * self.base.theta
         object.__setattr__(self, "theta", th)
-
-    def eval(self, t, s):
-        s = np.asarray(s, dtype=float)
-        gs = np.vectorize(self.stretch.g)(s)
-        gds = np.vectorize(self.stretch.g_dot)(s)
-        return self.base.eval(self.stretch.g(t), gs) * gds
 
     def parts(self):
         out = []
@@ -536,16 +484,15 @@ class CustomKernel(MemoryKernel):
 # construction and pointwise evaluation
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {
-    "fractional_power": lambda d: FractionalPowerKernel(beta=d["beta"]),
-    "ggbm": lambda d: GGBMKernel(alpha=d["alpha"], beta=d["beta"]),
-    "msm": lambda d: MSMKernel(a=d["a"], b=d["b"], mu=d["mu"], nu=d["nu"]),
-    "conv_power_sum": lambda d: ConvPowerSumKernel(
-        beta=d["beta"], betas=tuple(d.get("betas", ())), bs=tuple(d.get("bs", ()))
-    ),
-    "conv_multinomial_ml": lambda d: ConvMultinomialMLKernel(
-        beta=d["beta"], betas=tuple(d.get("betas", ())), bs=tuple(d.get("bs", ()))
-    ),
+# family -> (class, its scalar parameters in their command-line order, the
+# two lists of (beta_j, b_j) pairs that follow them); make_kernel, the
+# CLI's --kernel parser and the problem schema all read this table
+FAMILIES = {
+    "ggbm": (GGBMKernel, ("alpha", "beta"), ()),
+    "msm": (MSMKernel, ("a", "b", "mu", "nu"), ()),
+    "fractional_power": (FractionalPowerKernel, ("beta",), ()),
+    "conv_power_sum": (ConvPowerSumKernel, ("beta",), ("betas", "bs")),
+    "conv_multinomial_ml": (ConvMultinomialMLKernel, ("beta",), ("betas", "bs")),
 }
 
 
@@ -556,13 +503,14 @@ def make_kernel(spec: dict) -> MemoryKernel:
     except (KeyError, TypeError):
         raise InvalidParameters("kernel spec needs a 'family' key") from None
     try:
-        builder = _FAMILIES[fam]
+        cls, scalars, pairs = FAMILIES[fam]
     except KeyError:
         raise InvalidParameters(f"unknown kernel family {fam!r}") from None
     try:
-        return builder(spec)
+        params = {name: spec[name] for name in scalars}
     except KeyError as exc:
         raise InvalidParameters(f"kernel family {fam!r} missing parameter {exc}") from None
+    return cls(**params, **{name: tuple(spec.get(name, ())) for name in pairs})
 
 
 def time_stretch_kernel(kernel: MemoryKernel, stretch: StretchFn) -> TimeStretchedKernel:

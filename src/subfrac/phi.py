@@ -221,8 +221,7 @@ class SeriesPhi:
 
     def _has_hp(self) -> bool:
         try:
-            with mp.workdps(20):
-                self.kernel.hp_unit_eval(mp.mpf("0.5"))
+            self.kernel.hp_unit()
             return True
         except NotImplementedError:
             return False

@@ -417,6 +417,8 @@ class InverseSubordinatorLaw:
     def __post_init__(self) -> None:
         if self.bernstein.kind == "drift_plus_stable_sum" and not self.bernstein.terms:
             raise ValueError("inverse-subordinator law needs a simulable Bernstein form")
+        if not self.steps_per_unit >= 1:
+            raise ValueError(f"steps_per_unit must be >= 1, got {self.steps_per_unit}")
 
 
 @dataclass(frozen=True)
@@ -549,9 +551,11 @@ def inverse_passage_batch(
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if not steps_per_unit >= 1:
+        raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
     if t == 0.0 or bern.is_identity:
         return np.full(n_paths, float(t))
-    dt = _passage_scale(bern, 1.0) / steps_per_unit if steps_per_unit > 0 else 1.0
+    dt = _passage_scale(bern, 1.0) / steps_per_unit
     return first_passage(
         bern, [t], n_paths, master_seed, dt, substream, max_chunks=max_chunks, start=start
     )[:, 0]

@@ -173,7 +173,14 @@ def _float_series(logs, alternate: bool, tol: SeriesTolerance) -> SeriesResult:
             sg = np.where(_gamma_pole(g), 0.0, gammasgn(g))
             if alternate:
                 sg[k % 2 == 1] *= -1.0
-            terms.extend(s * math.exp(v) if s else 0.0 for s, v in zip(sg.tolist(), la.tolist()))
+            try:
+                terms.extend(s * math.exp(v) if s else 0.0 for s, v in zip(sg.tolist(), la.tolist()))
+            except OverflowError:
+                # extend keeps the terms before the one that overflowed
+                bad = len(terms)
+                raise OverflowError(
+                    f"term {bad} of the float series, e^{la[bad - n]:.6g}, is past the float range"
+                ) from None
         return terms[n]
 
     return sum_series(term, tol)
@@ -286,6 +293,8 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
         raise ValueError("beta must lie in (0, 1]")
     if math.isnan(x):
         raise ValueError("x must be a number, got nan")
+    if x == math.inf:
+        raise ValueError("x must be finite or -inf, got inf")
     if x == 0.0:
         return 1.0
     if beta == 1.0:
@@ -400,6 +409,8 @@ def prabhakar(p: MLParams, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> floa
     """Three-parameter Mittag-Leffler sum  (q3)_n x^n / (Gamma(q1 n + q2) n!)."""
     if math.isnan(x):
         raise ValueError("x must be a number, got nan")
+    if math.isinf(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x == 0.0:
         return rgamma(p.q2)
     if x < 0.0 and 0.0 < p.q1 < 1.0:
@@ -576,6 +587,8 @@ def mwright_density(beta: float, z: float, tol: SeriesTolerance = DEFAULT_TOL) -
         raise ValueError("z must be a number, got nan")
     if z < 0.0:
         raise ValueError("z must be nonnegative")
+    if z == math.inf:
+        raise ValueError("z must be finite, got inf")
     if z == 0.0:
         return rgamma(1.0 - beta)
     peak = _mwright_peak_log10(beta, z)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from subfrac import __version__, sampling
 from subfrac.cli import (
@@ -18,12 +19,14 @@ from subfrac.cli import (
     EXIT_SCHEMA,
     EXIT_SCOPE,
     PROBLEM_SCHEMA,
+    _parse_kernel_arg,
+    config_hash,
     load_problem,
     main,
     write_csv,
 )
 from subfrac.fk import derive_time_change_law
-from subfrac.kernels import make_kernel
+from subfrac.kernels import FAMILIES, make_kernel
 from subfrac.sampling import PathGrid, SeedSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -68,6 +71,15 @@ class TestPhiCommand:
         assert rc == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "beta" in err and len(err.strip().splitlines()) == 1
+
+    def test_conv_power_sum_table(self, tmp_path):
+        out = tmp_path / "phi.csv"
+        rc = main(["phi", "--kernel", "conv_power_sum:0.5,0.3,0.5", "--t", "0:1:3",
+                   "--lambda", "0:1:3", "--grid-steps", "256", "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = read_rows(out)
+        assert len(rows) == 9
+        assert all(float(r["max_discrepancy"]) < 1e-5 for r in rows)
 
     def test_tight_tolerance_exit_3(self, tmp_path):
         rc = main(
@@ -287,7 +299,112 @@ class TestSpecfunArguments:
         assert rc == EXIT_SCHEMA
         assert capsys.readouterr().err.strip() == "invalid input: z[0] must be finite, got nan"
 
+    def test_overflowing_series_exits_3_naming_the_term(self, capsys):
+        rc = main(["specfun", "--fn", "ml", "--params", "0.3", "--x=700:700:1"])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.strip() == (
+            "numerical failure: term 124 of the float series, e^712.278, is past the float range"
+        )
+
     def test_missing_parameter_exits_2(self, capsys):
         rc = main(["specfun", "--fn", "ml", "--x=nan:nan:1"])
         assert rc == EXIT_SCHEMA
         assert "--fn ml needs one parameter" in capsys.readouterr().err
+
+
+def _enum(*path):
+    """The enum of PROBLEM_SCHEMA at the given chain of property names."""
+    node = PROBLEM_SCHEMA
+    for key in path:
+        node = node["properties"][key]
+    return node["enum"]
+
+
+_NUMBERS = st.floats(-3.0, 3.0, allow_nan=False) | st.integers(-3, 3)
+_PARAMS = st.floats(0.05, 2.5)
+
+
+@st.composite
+def kernel_specs(draw):
+    family = draw(st.sampled_from(_enum("kernel", "family")))
+    _, scalars, pairs = FAMILIES[family]
+    spec = {"family": family, **{name: draw(_PARAMS) for name in scalars}}
+    if pairs:
+        m = draw(st.integers(0, 2))
+        exponents = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)), reverse=True)
+        spec.update(zip(pairs, (exponents, [draw(_PARAMS) for _ in range(m)])))
+    return spec
+
+
+@st.composite
+def problem_docs(draw):
+    doc = {
+        "kernel": draw(kernel_specs()),
+        "u0": {"kind": draw(st.sampled_from(_enum("u0", "kind")))},
+        "eval_points": draw(st.lists(st.tuples(st.floats(0.0, 2.0), _NUMBERS).map(list), min_size=1, max_size=3)),
+        "mc": draw(st.fixed_dictionaries({}, optional={
+            "paths": st.integers(2, 10**6), "seed": st.integers(0, 2**32), "grid_steps": st.integers(2, 512)})),
+    }
+    if draw(st.booleans()):
+        doc["u0"].update(center=draw(_NUMBERS), width=draw(st.floats(0.1, 3.0)))
+    if draw(st.booleans()):
+        base = {"kind": draw(st.sampled_from(_enum("process", "base", "kind")))}
+        base.update({"w": draw(_NUMBERS)} if base["kind"] == "brownian_drift" else {"delta": draw(_PARAMS)})
+        sub = {"kind": draw(st.sampled_from(_enum("process", "subordination", "kind")))}
+        if sub["kind"] == "stable_power":
+            sub["gamma"] = draw(st.floats(0.1, 1.0))
+        doc["process"] = {"base": base, "subordination": sub}
+    if draw(st.booleans()):
+        potential = {"kind": draw(st.sampled_from(_enum("potential", "kind")))}
+        if potential["kind"] == "constant":
+            potential["c"] = draw(_NUMBERS)
+        doc["potential"] = potential
+    if draw(st.booleans()):
+        doc["representation"] = draw(st.sampled_from(_enum("representation")))
+    return doc
+
+
+def cli_spelling(spec):
+    """The --kernel argument of a JSON kernel spec: the scalar parameters in
+    table order, then the (beta_j, b_j) pairs."""
+    _, scalars, pairs = FAMILIES[spec["family"]]
+    vals = [spec[name] for name in scalars]
+    vals += [v for pair in zip(*(spec.get(name, []) for name in pairs)) for v in pair]
+    return spec["family"] + ":" + ",".join(repr(float(v)) for v in vals)
+
+
+_CONV_POWER_SUM_DOC = {
+    "kernel": {"family": "conv_power_sum", "beta": 0.5, "betas": [0.3], "bs": [0.5]},
+    "u0": {"kind": "gaussian_bump"},
+    "eval_points": [[1.0, 0.0]],
+    "mc": {},
+}
+
+
+class TestSchemaRoundTrip:
+    """Documents built from the schema's enums, with every kernel family."""
+
+    @given(problem_docs())
+    @example(_CONV_POWER_SUM_DOC)
+    @settings(max_examples=80, deadline=None)
+    def test_effective_config_loads_to_itself(self, doc):
+        try:
+            problem, effective = load_problem(doc)
+        except ValueError:  # parameters outside a family's or a process's range
+            assume(False)
+        again_problem, again = load_problem(effective)
+        assert again == effective
+        assert config_hash(again) == config_hash(effective)
+        assert again_problem == problem
+
+    @given(kernel_specs())
+    @example(_CONV_POWER_SUM_DOC["kernel"])
+    @settings(max_examples=80, deadline=None)
+    def test_cli_spelling_builds_the_json_kernel(self, spec):
+        # the command line takes a convolution family with at least one pair
+        assume(not FAMILIES[spec["family"]][2] or spec.get("betas"))
+        try:
+            kernel = make_kernel(spec)
+        except ValueError:
+            assume(False)
+        assert make_kernel(_parse_kernel_arg(cli_spelling(spec))) == kernel

@@ -304,7 +304,7 @@ def moment_per_n(kernel, n):
     the kernel afresh at every node."""
     with mp.workdps(40):
         th = mp.mpf(kernel.theta)
-        return mp.quad(lambda s: kernel.hp_unit_eval(s) * s ** ((n - 1) * th), [0, 1])
+        return mp.quad(lambda s: kernel.hp_unit()(s) * s ** ((n - 1) * th), [0, 1])
 
 
 class TestMomentNodeReuse:
@@ -357,10 +357,10 @@ class TestUnitConstantsPerPrecision:
     @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
     def test_unit_eval_after_a_lower_precision_call(self, kernel):
         with mp.workdps(20):
-            kernel.hp_unit_eval(mp.mpf("0.5"))
+            kernel.hp_unit()(mp.mpf("0.5"))
         with mp.workdps(40):
             s = mp.mpf(1) / 3
-            assert kernel.hp_unit_eval(s) == hp_unit_reference(kernel, s)
+            assert kernel.hp_unit()(s) == hp_unit_reference(kernel, s)
 
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=IDS[:2])
     def test_moments_after_the_probe(self, kernel):

@@ -361,6 +361,16 @@ class TestFirstPassage:
         with pytest.raises(ValueError, match="ascending"):
             first_passage(bern, [1.0, 0.5], 3, 1, 1e-3)
 
+    @pytest.mark.parametrize("steps", [0, -4, 0.5])
+    def test_steps_per_unit_below_one_rejected(self, steps):
+        # the grid step is the unit-level passage scale over steps_per_unit
+        bern = BernsteinSpec.stable_power(0.5)
+        message = f"^steps_per_unit must be >= 1, got {steps}$"
+        with pytest.raises(ValueError, match=message):
+            inverse_passage_batch(bern, 1.0, 3, 1, steps_per_unit=steps)
+        with pytest.raises(ValueError, match=message):
+            InverseSubordinatorLaw(bern, steps_per_unit=steps)
+
 
 class TestScriptA:
     def test_gamma_one_reduces_to_amplitude(self):

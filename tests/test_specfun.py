@@ -419,6 +419,30 @@ class TestNonFiniteArguments:
     def test_ml_at_minus_infinity_is_its_limit(self):
         assert mittag_leffler(0.6, -math.inf) == 0.0
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: mittag_leffler(0.6, math.inf), "x must be finite or -inf, got inf"),
+            (lambda: prabhakar(MLParams(0.5, 1.0, 1.0), math.inf), "x must be finite, got inf"),
+            (lambda: prabhakar(MLParams(0.5, 1.0, 1.0), -math.inf), "x must be finite, got -inf"),
+            (lambda: mwright_density(0.5, math.inf), "z must be finite, got inf"),
+        ],
+    )
+    def test_infinite_argument_is_rejected_by_name(self, call, message):
+        # the float series would run to its term budget: its first term is
+        # 0 * inf = nan, and a nan or infinite term never counts as small
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call", [lambda: mittag_leffler(0.3, 700.0), lambda: prabhakar(MLParams(0.3), 700.0)]
+    )
+    def test_overflowing_term_is_named(self, call):
+        with pytest.raises(
+            OverflowError, match=r"^term 124 of the float series, e\^712\.278, is past the float range$"
+        ):
+            call()
+
     @pytest.mark.parametrize("z, name, value", [([math.nan, -0.2], "z[0]", "nan"), ([-0.5, -math.inf], "z[1]", "-inf")])
     def test_multinomial_rejects_a_non_finite_argument_by_name(self, z, name, value):
         # a non-finite order sum never counts as small, so the sum would
