@@ -21,16 +21,20 @@ from subfrac import (
     ProcessModel,
     StretchFn,
     ZeroPotential,
-    doss_sussmann_flow,
+    flow_map,
     solve,
     solve_doss_sussmann,
     stretch_solution,
 )
 
 print("the flow map: fourth-order accurate, exact for constant coefficients")
-print(f"  constant sigma: g(1.3, 0.4) = {doss_sussmann_flow(lambda z: 2.5, 1.3, 0.4):.12f}"
+print(f"  constant sigma: g(1.3, 0.4) = {flow_map(lambda z: 2.5, [1.3], 0.4)[0]:.12f}"
       f"  (exact {0.4 + 2.5 * 1.3})")
-print(f"  sigma = 2 + sin:  g(1, 0) = {doss_sussmann_flow(lambda z: 2.0 + np.sin(z), 1.0, 0.0):.12f}")
+# sigma = 2 + sin z separates in u = tan(z/2): tan(g/2) = (sqrt(3) tan W - 1)/2
+# with W = y sqrt(3)/2 + arctan((2 tan(x/2) + 1)/sqrt(3)), here at x = 0
+exact = 2.0 * np.arctan((np.sqrt(3.0) * np.tan(np.sqrt(3.0) / 2.0 + np.pi / 6.0) - 1.0) / 2.0)
+print(f"  sigma = 2 + sin:  g(1, 0) = {flow_map(lambda z: 2.0 + np.sin(z), [1.0], 0.0)[0]:.12f}"
+      f"  (exact {exact:.12f})")
 
 prob = FKProblem(
     kernel=GGBMKernel(0.8, 0.6),

@@ -14,7 +14,8 @@ Module map:
 * ``specfun``  Mittag-Leffler family, Wright density, Appell F3
 * ``kernels``  memory-kernel families, admissibility, series coefficients
 * ``phi``      the memory function three ways + Laplace-inversion CDFs
-* ``sampling`` stable subordinators, mixing amplitudes, fBM, seeded streams
+* ``sampling`` seeded streams; one array sampler per random variable and
+               per kind of path (``n_paths=1, start=i`` draws path i)
 * ``fk``       the Monte Carlo solvers (time change, potential, flow map)
 * ``oracle``   deterministic reference solutions
 * ``validate`` the acceptance matrix behind ``subfrac validate``
@@ -31,7 +32,7 @@ from .fk import (
     ProcessModel,
     StableLevy,
     ZeroPotential,
-    doss_sussmann_flow,
+    flow_map,
     solve,
     solve_doss_sussmann,
     stretch_solution,
@@ -48,7 +49,6 @@ from .kernels import (
     kernel_eval,
     make_kernel,
     phi_coefficients,
-    time_stretch_kernel,
     verify_assumption_k,
 )
 from .phi import (
@@ -57,22 +57,9 @@ from .phi import (
     VolterraPhi,
     check_complete_monotone,
     phi_closed,
-    phi_series,
-    phi_volterra,
     time_law_cdf,
 )
-from .sampling import (
-    BernsteinSpec,
-    PathGrid,
-    SeedSpec,
-    sample_A_stable_mixing,
-    sample_fbm_path,
-    sample_markov_path,
-    sample_rsgp_path,
-    sample_scriptA,
-    sample_stable_subordinator,
-    sample_time_change,
-)
+from .sampling import BernsteinSpec, PathGrid
 from .specfun import (
     MLParams,
     MultinomialMLParams,

@@ -36,7 +36,7 @@ from .fk import (
     derive_time_change_law,
     solve,
 )
-from .kernels import FAMILIES, InvalidParameters, NormDivergent, QuadratureFailure, make_kernel
+from .kernels import FAMILIES, InvalidParameters, NormDivergent, make_kernel
 from .phi import (
     ClosedFormPhi,
     InversionUnstable,
@@ -80,7 +80,6 @@ _NUMERICAL_ERRORS = (
     NonconvergentRefinement,
     InversionUnstable,
     NormDivergent,
-    QuadratureFailure,
     GridTooCoarse,
     NoClosedForm,
     StepCountInsufficient,
@@ -410,8 +409,8 @@ def _scalar_draws(args) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
-    """All rows come from one batch; row i holds what the matching scalar
-    sample_* helper draws at SeedSpec(seed, i)."""
+    """All rows come from one batch of the variable's array function; row i
+    holds its draw for path i, as the call at n_paths=1, start=i gives it."""
     if args.paths < 0:
         raise ValueError(f"--paths must be nonnegative, got {args.paths}")
     if args.dist == "fbm":
@@ -471,7 +470,8 @@ def cmd_validate(args) -> int:
             print(cid)
         return EXIT_OK
     only = args.only.split(",") if args.only else None
-    budget = Budget(paths=args.paths or 100_000, seed=args.seed or 20240811, workers=args.workers)
+    given = {"paths": args.paths, "seed": args.seed}
+    budget = Budget(workers=args.workers, **{k: v for k, v in given.items() if v is not None})
     results = run_criteria(budget, only)
     rows = []
     for r in results:

@@ -18,8 +18,8 @@ reweight, so the factorization identity holds exactly path by path under
 shared seeds.
 
 ``base_positions`` builds the paths of xi and ``sampling.rsgp_paths`` the
-scaled-Gaussian paths; the scalar path helpers of ``sampling`` are their
-n = 1 rows.
+scaled-Gaussian paths; one path is the call at ``start=stream_id`` with a
+single row.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
-from .kernels import MemoryKernel, StretchFn, time_stretch_kernel
+from .kernels import MemoryKernel, StretchFn, TimeStretchedKernel
 from .phi import ClosedFormPhi, SeriesPhi, VolterraPhi, has_closed_form, time_law_cdf
 from .sampling import (
     SUB_GAUSSIAN,
@@ -73,7 +73,6 @@ __all__ = [
     "ZeroPotential",
     "base_positions",
     "derive_time_change_law",
-    "doss_sussmann_flow",
     "flow_map",
     "path_values",
     "solve",
@@ -83,6 +82,8 @@ __all__ = [
 
 _ROLE_STRIDE = 8  # substream ids per evaluation point when paths are independent
 _MAX_FLOW_NODES = 2**20  # flow-map trajectory nodes; bounds the Python RK4 loop
+_FLOW_NODES_PER_UNIT = 512  # flow-map trajectory nodes per unit of driver
+_RSGP_STEPS = 64  # grid steps of the randomly scaled Gaussian paths on [0, t]
 
 
 class RsgpScopeError(ValueError):
@@ -91,9 +92,8 @@ class RsgpScopeError(ValueError):
 
 
 class StepCountInsufficient(RuntimeError):
-    """Richardson estimate of the flow ODE error above tolerance, or a
-    flow-map span that would need more than _MAX_FLOW_NODES trajectory
-    nodes."""
+    """A flow-map span that would need more than _MAX_FLOW_NODES
+    trajectory nodes."""
 
 
 # ---------------------------------------------------------------------------
@@ -367,43 +367,22 @@ def _rk4(sigma: Callable, x: float, step: float, n_steps: int) -> np.ndarray:
     return out
 
 
-def doss_sussmann_flow(
-    sigma: Callable, y: float, x: float, ode_steps: int = 64, rich_tol: float = 1e-7
-) -> float:
-    """g(y, x): the flow of dz/dy = sigma(z) from z(0) = x, by classical
-    fourth-order Runge-Kutta with step y/ode_steps.  A Richardson estimate
-    against the half-step count guards the step budget."""
-    if y == 0.0:
-        return float(x)
-    if ode_steps < 2:
-        raise StepCountInsufficient("need at least 2 flow steps")
-    fine = _rk4(sigma, x, y / ode_steps, ode_steps)[-1]
-    coarse = _rk4(sigma, x, y / (ode_steps // 2), ode_steps // 2)[-1]
-    err = abs(fine - coarse) / 15.0
-    if err > rich_tol * max(1.0, abs(fine)):
-        raise StepCountInsufficient(
-            f"flow ODE Richardson error {err:.2e} above tolerance at "
-            f"ode_steps={ode_steps}"
-        )
-    return float(fine)
-
-
-def flow_map(sigma: Callable, y_values, x: float, nodes_per_unit: int = 512) -> np.ndarray:
+def flow_map(sigma: Callable, y_values, x: float) -> np.ndarray:
     """g(y, x) evaluated at many y at once.
 
     All values of the one-dimensional autonomous flow lie on the single
     trajectory through x, so one dense fourth-order integration of that
     trajectory plus monotone interpolation evaluates the whole batch.  The
-    trajectory nodes sit at y = k h, h = 1/nodes_per_unit, for whole k from
-    two past the lowest to two past the highest queried y (and 0), each
-    reached by k steps from y = 0; an interval's interpolant depends only
+    trajectory nodes sit at y = k h, h = 1/_FLOW_NODES_PER_UNIT, for whole
+    k from two past the lowest to two past the highest queried y (and 0),
+    each reached by k steps from y = 0; an interval's interpolant depends only
     on its own nodes and their neighbours, so every value is the same
     whatever batch it is queried in.
     """
     y_values = np.asarray(y_values, dtype=float)
     if y_values.size == 0:
         return y_values.copy()
-    h = 1.0 / nodes_per_unit
+    h = 1.0 / _FLOW_NODES_PER_UNIT
     y_lo = min(float(np.min(y_values)), 0.0)
     y_hi = max(float(np.max(y_values)), 0.0)
     k_lo = math.floor(y_lo / h) - 2
@@ -487,7 +466,7 @@ def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_
     return out
 
 
-def _rsgp_values(problem: FKProblem, law, t, x, n_paths, master_seed, base_sub, rsgp_steps=64, start=0):
+def _rsgp_values(problem: FKProblem, law, t, x, n_paths, master_seed, base_sub, start=0):
     """Values under the randomly scaled Gaussian representations: the
     final column of their paths on [0, t]."""
     gamma = problem.gamma
@@ -497,7 +476,7 @@ def _rsgp_values(problem: FKProblem, law, t, x, n_paths, master_seed, base_sub, 
         raise RsgpScopeError("scaled-Gaussian representations need the product-form law")
     cal_a = _combined_amplitude(law, gamma, n_paths, master_seed, base_sub, start)
     x_final = rsgp_paths(
-        problem.representation, cal_a, gamma, problem.kernel.theta, PathGrid(t, rsgp_steps),
+        problem.representation, cal_a, gamma, problem.kernel.theta, PathGrid(t, _RSGP_STEPS),
         master_seed, start, base_sub + SUB_GAUSSIAN,
     )[:, -1]
     positions = x + x_final + cal_a * problem.process.base.w * t**k
@@ -511,7 +490,6 @@ def path_values(
     seed: int,
     grid_steps: int = 256,
     base_sub: int = 0,
-    rsgp_steps: int = 64,
     start: int = 0,
 ) -> np.ndarray:
     """Per-path estimator values for paths start .. start + n_paths - 1 at
@@ -522,7 +500,7 @@ def path_values(
         return np.full(n_paths, float(problem.u0(x)))
     law = _time_change_law(problem)
     if problem.representation != "path":
-        return _rsgp_values(problem, law, t, x, n_paths, seed, base_sub, rsgp_steps, start)
+        return _rsgp_values(problem, law, t, x, n_paths, seed, base_sub, start)
     a_t = time_change_draws(law, t, seed, n_paths, start, base_sub + SUB_MIXING)
     tau = subordinator_draws(
         problem.process.subordination, a_t, seed, n_paths, start, base_sub + SUB_SUBORDINATOR
@@ -541,16 +519,13 @@ def solve(
     n_paths: int,
     seed: int,
     grid_steps: int = 256,
-    shared_paths: bool = False,
-    rsgp_steps: int = 64,
     workers: int = 1,
 ) -> list[Estimate]:
     """Monte Carlo estimates of the solution at every evaluation point.
 
-    Evaluation points get independent path sets by default (substream
-    offsets per point); ``shared_paths=True`` reuses one set for exact
-    pathwise comparisons.  ``workers`` is a partition setting, not a
-    degree of parallelism: it splits the path range into that many chunks,
+    Evaluation points get independent path sets (substream offsets per
+    point).  ``workers`` is a partition setting, not a degree of
+    parallelism: it splits the path range into that many chunks,
     run one after another, and the counter-based streams make the result
     bit-identical for any partition.  (Running the chunks on a thread pool
     did not shorten the benchmark's Monte Carlo workload on 2 vCPUs and
@@ -567,7 +542,7 @@ def solve(
         bounds = np.linspace(0, n_paths, workers + 1).astype(int)
         parts = [
             path_values(
-                prob, point, int(b - a), seed, gsteps, base_sub, rsgp_steps, int(a)
+                prob, point, int(b - a), seed, gsteps, base_sub, int(a)
             )
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
@@ -576,7 +551,7 @@ def solve(
 
     out = []
     for idx, point in enumerate(prob.eval_points):
-        base_sub = 0 if shared_paths else idx * _ROLE_STRIDE
+        base_sub = idx * _ROLE_STRIDE
         t, x = point
         if t == 0.0:
             out.append(Estimate(float(prob.u0(x)), 0.0, n_paths, seed))
@@ -616,7 +591,6 @@ def solve_doss_sussmann(
     problem: FKProblem,
     n_paths: int,
     seed: int,
-    rsgp_steps: int = 64,
 ) -> list[DossSussmannResult]:
     """Both exact estimator forms for the diffusion-with-flow problem,
     computed from the same draws; their difference must vanish within
@@ -684,7 +658,7 @@ def stretch_solution(problem: FKProblem, stretch: StretchFn) -> FKProblem:
     solution at tau equals the base solution at g(tau)."""
     return replace(
         problem,
-        kernel=time_stretch_kernel(problem.kernel, stretch),
+        kernel=TimeStretchedKernel(base=problem.kernel, stretch=stretch),
         law=StretchedLaw(base=_time_change_law(problem), stretch=stretch),
         representation="path",
     )

@@ -50,7 +50,6 @@ __all__ = [
     "MSMKernel",
     "MemoryKernel",
     "NormDivergent",
-    "QuadratureFailure",
     "SingularPart",
     "SingularPoint",
     "StretchFn",
@@ -59,7 +58,6 @@ __all__ = [
     "kernel_eval",
     "make_kernel",
     "phi_coefficients",
-    "time_stretch_kernel",
     "verify_assumption_k",
 ]
 
@@ -74,10 +72,6 @@ class SingularPoint(ValueError):
 
 class NormDivergent(RuntimeError):
     """The L^{1+eps} norm estimate does not stabilise under refinement."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Coefficient quadrature did not converge under node refinement."""
 
 
 @dataclass(frozen=True)
@@ -513,12 +507,6 @@ def make_kernel(spec: dict) -> MemoryKernel:
     return cls(**params, **{name: tuple(spec.get(name, ())) for name in pairs})
 
 
-def time_stretch_kernel(kernel: MemoryKernel, stretch: StretchFn) -> TimeStretchedKernel:
-    """Kernel of the time-stretched equation: kappa(tau, sigma) =
-    k(g(tau), g(sigma)) g'(sigma)."""
-    return TimeStretchedKernel(base=kernel, stretch=stretch)
-
-
 def kernel_eval(kernel: MemoryKernel, t: float, s: float):
     """k(t, s) for 0 < s < t, rejecting the singular endpoints."""
     s_arr = np.asarray(s, dtype=float)
@@ -625,7 +613,9 @@ class CoefficientTables:
     which is exact for the power-law profiles homogeneous kernels produce
     and near-exact for smooth perturbations of them.  Nothing here
     assumes homogeneity.  A level is evaluated in blocks of grid rows
-    against all quadrature nodes, at most _ROW_BLOCK pairs per block.
+    against all quadrature nodes, at most _ROW_BLOCK pairs per block; the
+    kernel's regular factors on those blocks do not depend on the level,
+    so each is evaluated once per table.
     """
 
     def __init__(
@@ -667,8 +657,9 @@ class CoefficientTables:
         self._interps: list = [None]  # index n -> PCHIP over log t; c_0 == 1
         self._signs = [1.0]  # 1.0: table stores log c_n; 0.0: stores c_n raw
         self._edges = [None]  # (log t_min, log c(t_min), boundary slope)
+        regular = self._regular_blocks()
         for n in range(1, n_max + 1):
-            vals = self._level_values(n)
+            vals = self._level_values(n, regular)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
                     ip = PchipInterpolator(self._log_master, vals, extrapolate=False)
@@ -704,20 +695,29 @@ class CoefficientTables:
         ls = np.log(np.maximum(s, 1e-300))
         return self._eval_level(n - 1, ls)
 
-    def _level_values(self, n: int) -> np.ndarray:
-        """Level n at every grid time, from blocks of grid rows against the
-        quadrature nodes (at most _ROW_BLOCK elements per block).  Each
-        row keeps its own dot product and a scalar t^{p1+1}, so a row's
-        value has the bits of a one-time evaluation."""
+    def _regular_blocks(self) -> list:
+        """Per part, its regular factor on each block of grid rows against
+        the quadrature nodes (at most _ROW_BLOCK elements per block); no
+        level depends on them."""
+        rows = max(1, _ROW_BLOCK // self.quad_nodes)
+        t = self._master[:, None]
+        return [
+            [part.regular(t[i0 : i0 + rows], t[i0 : i0 + rows] * u) for i0 in range(0, t.size, rows)]
+            for part, u, _ in self._rules
+        ]
+
+    def _level_values(self, n: int, regular: list) -> np.ndarray:
+        """Level n at every grid time from the parts' ``_regular_blocks()``.
+        Each row keeps its own dot product and a scalar t^{p1+1}, so a
+        row's value has the bits of a one-time evaluation."""
         tvals = self._master
         out = np.zeros_like(tvals)
         rows = max(1, _ROW_BLOCK // self.quad_nodes)
-        for part, u, wu in self._rules:
+        for (part, u, wu), blocks in zip(self._rules, regular):
             scale = [t ** (part.p_end + 1.0) for t in tvals]
-            for i0 in range(0, tvals.size, rows):
-                t = tvals[i0 : i0 + rows, None]
-                s = t * u
-                integrand = part.regular(t, s) * self._prev_values(n, s)
+            for i0, block in zip(range(0, tvals.size, rows), blocks):
+                s = tvals[i0 : i0 + rows, None] * u
+                integrand = block * self._prev_values(n, s)
                 for i, row in enumerate(integrand, i0):
                     out[i] += scale[i] * float(np.dot(wu, row))
         return out
@@ -753,28 +753,10 @@ def coefficient_tables(
     )
 
 
-def phi_coefficients(
-    kernel: MemoryKernel, t: float, n_max: int, check: bool = False
-) -> np.ndarray:
-    """c_0(t) .. c_{n_max}(t) of the memory power series at time t.
-
-    With ``check=True`` the quadrature is repeated at half the node count
-    and QuadratureFailure is raised if the levels disagree beyond 1e-8
-    relative to the coefficient scale.
-    """
+def phi_coefficients(kernel: MemoryKernel, t: float, n_max: int) -> np.ndarray:
+    """c_0(t) .. c_{n_max}(t) of the memory power series at time t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    horizon = max(t, 1.0)
-    tab = coefficient_tables(kernel, horizon, n_max)
-    vals = tab.values(t) if t > 0 else np.array([1.0] + [0.0] * n_max)
-    if check and t > 0:
-        coarse = coefficient_tables(
-            kernel, horizon, n_max, grid_size=tab.grid_size, quad_nodes=tab.quad_nodes // 2
-        )
-        drift = np.abs(vals - coarse.values(t))
-        scale = np.maximum(np.abs(vals), 1.0)
-        if np.any(drift / scale > 1e-8):
-            raise QuadratureFailure(
-                f"coefficient quadrature drift {np.max(drift / scale):.2e} at t={t:g}"
-            )
-    return vals
+    if t == 0:
+        return np.array([1.0] + [0.0] * n_max)
+    return coefficient_tables(kernel, max(t, 1.0), n_max).values(t)

@@ -78,6 +78,9 @@ def _mixing_description(kernel: MemoryKernel):
     return None, None
 
 
+_QUAD_TOL = 1e-8  # absolute and relative target of the Wright-density quadrature
+
+
 def semigroup_quadrature(
     kernel: MemoryKernel,
     u0: GaussianBump,
@@ -86,7 +89,6 @@ def semigroup_quadrature(
     x: float,
     potential_c: float = 0.0,
     law_cdf: TimeLawCDF | None = None,
-    quad_tol: float = 1e-8,
 ) -> float:
     """Deterministic solution value by integrating the exact Gaussian
     semigroup action over the law of the time change:
@@ -120,7 +122,7 @@ def semigroup_quadrature(
         # 1e-11, negligible against the quadrature target as long as the
         # semigroup factor stays bounded (potential_c <= 0)
         upper = _wright_tail_cut(beta) if potential_c <= 0.0 else 60.0
-        val, err = quad(integrand, 0.0, upper, epsabs=quad_tol, epsrel=quad_tol, limit=400)
+        val, err = quad(integrand, 0.0, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
         return float(val)
     if law_cdf is not None:
         mid = 0.5 * (law_cdf.nodes[1:] + law_cdf.nodes[:-1])
@@ -206,21 +208,20 @@ def caputo_l1(
     half_width: float = 12.0,
     n_space: int = 1201,
     n_time: int = 600,
-    grading: float | None = None,
     source=None,
 ):
     """Solve the fractional-in-time heat equation with the classical
-    power-kernel derivative of order beta by the L1 scheme on a graded
-    time mesh, second-order central differences in space, Dirichlet-zero
-    truncation at +-half_width.
+    power-kernel derivative of order beta by the L1 scheme on a time mesh
+    graded as t (n / n_time)^{(2 - beta)/beta}, the standard grading for
+    the initial layer, second-order central differences in space,
+    Dirichlet-zero truncation at +-half_width.
 
     Returns (x_grid, u_values_at_t).  ``source(t, x)`` adds a forcing term
     (used by the manufactured-solution convergence test).
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    if grading is None:
-        grading = (2.0 - beta) / beta  # standard grading for the initial layer
+    grading = (2.0 - beta) / beta
     xg = np.linspace(-half_width, half_width, n_space)
     u_edge = max(abs(float(u0(xg[0]))), abs(float(u0(xg[-1]))))
     if u_edge > 1e-10:
@@ -271,6 +272,10 @@ class DoubleLaplaceReport:
     t_max: float
 
 
+_DL_TIME_NODES = 96  # Gauss-Legendre nodes in time
+_DL_TAIL_BOUND = 1e-6  # e^{-sigma t} at the time truncation
+
+
 def double_laplace_identity(
     h: BernsteinSpec,
     sigma: float,
@@ -278,18 +283,16 @@ def double_laplace_identity(
     mc_paths: int,
     master_seed: int = 1,
     steps_per_unit: int = 2**10,
-    n_time_nodes: int = 96,
-    tail_bound: float = 1e-6,
 ) -> DoubleLaplaceReport:
     """Check  int_0^inf e^{-sigma t} E[e^{-lam E_t}] dt = h(sigma) /
     (sigma (h(sigma) + lam))  by simulating first-passage paths of the
-    subordinator with exponent h and Gauss-Legendre time quadrature,
-    truncated where e^{-sigma t} < tail_bound."""
+    subordinator with exponent h and _DL_TIME_NODES-node Gauss-Legendre
+    time quadrature, truncated where e^{-sigma t} < _DL_TAIL_BOUND."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     rhs = float(h.value(sigma) / (sigma * (h.value(sigma) + lam)))
-    t_max = -math.log(tail_bound) / sigma
-    xq, wq = roots_legendre(n_time_nodes)
+    t_max = -math.log(_DL_TAIL_BOUND) / sigma
+    xq, wq = roots_legendre(_DL_TIME_NODES)
     t_nodes = 0.5 * t_max * (xq + 1.0)
     t_weights = 0.5 * t_max * wq
     if h.is_identity:
@@ -306,7 +309,7 @@ def double_laplace_identity(
         raise RuntimeError("subordinator path did not exceed t_max; raise the budget") from None
     mean_w = np.sum(np.exp(-lam * passages), axis=0) / mc_paths
     lhs = float(np.dot(t_weights, np.exp(-sigma * t_nodes) * mean_w))
-    # exp tail beyond t_max: bounded by tail_bound / sigma, add midpoint value
+    # exp tail beyond t_max: bounded by _DL_TAIL_BOUND / sigma, add midpoint value
     lhs += math.exp(-sigma * t_max) / sigma * float(mean_w[-1])
     return DoubleLaplaceReport(
         sigma, lam, lhs, rhs, (lhs - rhs) / rhs, mc_paths, t_max

@@ -67,8 +67,6 @@ __all__ = [
     "gaver_stehfest",
     "phi_closed",
     "phi_on_grid",
-    "phi_series",
-    "phi_volterra",
     "time_law_cdf",
 ]
 
@@ -78,7 +76,8 @@ class NoClosedForm(ValueError):
 
 
 class NonconvergentRefinement(RuntimeError):
-    """Volterra solution changed too much under grid refinement."""
+    """A Volterra product-integration step lost positivity; the grid needs
+    refining."""
 
 
 class InversionUnstable(RuntimeError):
@@ -290,11 +289,6 @@ class SeriesPhi:
         return value
 
 
-def phi_series(evaluator: SeriesPhi, t: float, lam: float) -> float:
-    """Series value of Phi(t, lam); thin wrapper over SeriesPhi.value."""
-    return evaluator.value(t, lam)
-
-
 # ---------------------------------------------------------------------------
 # Volterra second-kind solver (product integration)
 # ---------------------------------------------------------------------------
@@ -315,20 +309,24 @@ def _conv_profiles(parts, horizon: float) -> list:
     return out
 
 
+_GRADING = 2.0  # Volterra grid t_i = horizon * (i / n_steps)^_GRADING
+
+
 def _volterra_solve(kernel: MemoryKernel, lam: float, horizon: float, n_steps: int,
-                    grading: float, profiles: list) -> tuple[np.ndarray, np.ndarray]:
+                    profiles: list) -> tuple[np.ndarray, np.ndarray]:
     """Solve Phi = 1 + lam * int_0^t k(t,s) Phi(s) ds by product
-    integration: on each panel the product (regular factor * Phi) is
-    linearly interpolated and integrated against the exact moments of the
-    singular weight (t - s)^{p_end}.  ``profiles`` are the parts'
-    convolution profiles from _conv_profiles(kernel.parts(), horizon).
+    integration on the graded grid: on each panel the product (regular
+    factor * Phi) is linearly interpolated and integrated against the
+    exact moments of the singular weight (t - s)^{p_end}.  ``profiles``
+    are the parts' convolution profiles from
+    _conv_profiles(kernel.parts(), horizon).
 
     The weights and kernel values of a block of rows come from one array
     pass over at most about _ROW_BLOCK (row, node) pairs, the nodes past a
     row's own time clamped to it; the forward substitution then runs row
     by row with the same two dot products per part as a one-row solve.
     """
-    t = horizon * (np.arange(n_steps + 1) / n_steps) ** grading
+    t = horizon * (np.arange(n_steps + 1) / n_steps) ** _GRADING
     parts = kernel.parts()
     phi = np.empty(n_steps + 1)
     phi[0] = 1.0
@@ -370,47 +368,6 @@ def _volterra_solve(kernel: MemoryKernel, lam: float, horizon: float, n_steps: i
     return t, phi
 
 
-def phi_volterra(
-    kernel: MemoryKernel,
-    lam: float,
-    t_grid,
-    n_steps: int = 1024,
-    grading: float = 2.0,
-    check: bool = False,
-) -> np.ndarray:
-    """Phi(., lam) on t_grid via the second-kind Volterra equation.
-
-    ``check=True`` re-solves at half resolution and raises
-    NonconvergentRefinement if the two solutions differ by more than 1e-3
-    anywhere on t_grid.
-    """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid < 0):
-        raise ValueError("t_grid must be nonnegative")
-    if np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be nondecreasing")
-    horizon = float(t_grid[-1]) if t_grid[-1] > 0 else 1.0
-    if lam == 0.0:
-        return np.ones_like(t_grid)
-    profiles = _conv_profiles(kernel.parts(), horizon)
-    grid, phi = _volterra_solve(kernel, lam, horizon, n_steps, grading, profiles)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ip = PchipInterpolator(grid, phi)
-    out = ip(t_grid)
-    out[t_grid == 0.0] = 1.0
-    if check:
-        grid2, phi2 = _volterra_solve(kernel, lam, horizon, n_steps // 2, grading, profiles)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out2 = PchipInterpolator(grid2, phi2)(t_grid)
-        out2[t_grid == 0.0] = 1.0
-        if np.max(np.abs(out - out2)) > 1e-3:
-            raise NonconvergentRefinement(
-                f"Volterra refinement drift {np.max(np.abs(out - out2)):.2e} "
-                f"at n_steps={n_steps}"
-            )
-    return out
-
-
 class VolterraPhi:
     """Deterministic Phi evaluator backed by cached Volterra solves.
 
@@ -420,12 +377,10 @@ class VolterraPhi:
     profiles are tabulated once per evaluator.
     """
 
-    def __init__(self, kernel: MemoryKernel, horizon: float = 2.0,
-                 n_steps: int = 1024, grading: float = 2.0):
+    def __init__(self, kernel: MemoryKernel, horizon: float = 2.0, n_steps: int = 1024):
         self.kernel = kernel
         self.horizon = float(horizon)
         self.n_steps = n_steps
-        self.grading = grading
         self._grid: np.ndarray | None = None
         self._profiles: list | None = None
         self._cache: OrderedDict = OrderedDict()  # lam -> Phi on self._grid
@@ -434,10 +389,12 @@ class VolterraPhi:
         if self._profiles is None:
             self._profiles = _conv_profiles(self.kernel.parts(), self.horizon)
         self._grid, phi = _volterra_solve(self.kernel, lam, self.horizon, self.n_steps,
-                                          self.grading, self._profiles)
+                                          self._profiles)
         return phi
 
     def value(self, t: float, lam: float) -> float:
+        if t < 0:
+            raise ValueError("t must be nonnegative")
         if t == 0.0 or lam == 0.0:
             return 1.0
         if t > self.horizon:
@@ -471,12 +428,10 @@ class ClosedFormPhi:
 
 def phi_on_grid(evaluator, t: float, lams) -> np.ndarray:
     """Phi(t, lam) over an array of lam: the evaluator's ``values`` when it
-    has one, else one ``value`` call per lam (or one call of the evaluator
-    itself when it is a plain function of (t, lam))."""
+    has one, else one ``value`` call per lam."""
     if hasattr(evaluator, "values"):
         return evaluator.values(t, lams)
-    value = evaluator.value if hasattr(evaluator, "value") else evaluator
-    return np.array([value(t, lam) for lam in lams])
+    return np.array([evaluator.value(t, lam) for lam in lams])
 
 
 # ---------------------------------------------------------------------------
@@ -585,40 +540,41 @@ class TimeLawCDF:
         return np.interp(u, Fpad, xpad)
 
 
+_OSCILLATION_TOL = 0.12  # largest drop or overshoot of the raw inverted CDF
+
+
 def time_law_cdf(
     evaluator,
     t: float,
     nodes,
     order: int = 14,
-    oscillation_tol: float = 0.12,
     precheck_grid=None,
 ) -> TimeLawCDF:
     """CDF of the time change A(t) by Gaver-Stehfest inversion of
     Phi(t, -lam)/lam, clamped to [0, 1] and monotonized.
 
     Raises InversionUnstable when the raw inversion oscillates beyond
-    tolerance (the family then needs its closed-form sampler).  The
-    default tolerance sits above the ~10% Gibbs ringing a point-mass law
+    tolerance (the family then needs its closed-form sampler).
+    _OSCILLATION_TOL sits above the ~10% Gibbs ringing a point-mass law
     produces at order 14, so degenerate laws still invert to a usable
     step.  The evaluator must first pass a coarse complete-monotonicity
     check.
     """
     nodes = np.asarray(nodes, dtype=float)
-    value = evaluator.value if hasattr(evaluator, "value") else evaluator
     if precheck_grid is None:
         precheck_grid = np.linspace(0.25, 8.0, 12)
     pre = check_complete_monotone(evaluator, t, precheck_grid, tol=1e-6)
     if not pre.passed:
         raise InversionUnstable(f"Phi(t,-.) fails the CM pre-check: {pre}")
     raw = np.array(
-        [gaver_stehfest(lambda lam: value(t, -lam) / lam, x, order) for x in nodes]
+        [gaver_stehfest(lambda lam: evaluator.value(t, -lam) / lam, x, order) for x in nodes]
     )
     drop = float(np.max(np.maximum(0.0, -np.diff(raw))))
     overshoot = float(max(np.max(raw) - 1.0, -np.min(raw), 0.0))
-    if max(drop, overshoot) > oscillation_tol:
+    if max(drop, overshoot) > _OSCILLATION_TOL:
         raise InversionUnstable(
             f"inversion oscillation {max(drop, overshoot):.3e} beyond "
-            f"tolerance {oscillation_tol:g}"
+            f"tolerance {_OSCILLATION_TOL:g}"
         )
     F = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
     return TimeLawCDF(t=t, nodes=nodes, F=F)

@@ -5,14 +5,15 @@ master seed, whose counter block (0, 0, substream, stream_id) advances in
 word 0.  The draws of path ``stream_id`` therefore never depend on batch
 size, worker count or scheduling, and the substream index keeps the
 mixing variable, the subordinator and the Gaussian path of one sample
-mutually independent.
+mutually independent.  A seed outside [0, 2^64) or a negative stream id
+is rejected by name.
 
 One stream is evaluated two ways, with the same bits:
 
 * ``path_uniforms`` serves every fixed-size layout (k uniforms per path;
-  the scalar helpers and their ``*_draws`` batches).  Philox is a pure
-  function of (key, counter), so it computes the blocks of all paths in
-  one vectorized numpy pass instead of building a generator per path.
+  the ``*_draws`` batches).  Philox is a pure function of (key, counter),
+  so it computes the blocks of all paths in one vectorized numpy pass
+  instead of building a generator per path.
 * ``path_rng`` wraps the stream in ``np.random.Philox`` and serves only
   ``first_passage``, where a path draws an open-ended stream block by
   block.  On long rows numpy's C generator is several times faster than
@@ -25,12 +26,11 @@ variable of the Feynman-Kac formulae has one array function over a path
 range: the time change A(t) (``time_change_draws``), the stable amplitude
 (``A_stable_mixing_draws``), the combined amplitude A^{1/gamma} eta_1
 (``scriptA_draws``) and the subordinated time eta^f
-(``subordinator_draws``).  The solvers, ``subfrac sample`` and the scalar
-``sample_*`` helpers (the n = 1 row) all call it, so they agree bit for
-bit for the same seed, substream and path.  Paths follow the same rule:
-``rsgp_paths`` builds the randomly scaled Gaussian paths and
-``fk.base_positions`` the base Markov paths, and ``sample_rsgp_path`` and
-``sample_markov_path`` are their n = 1 rows.
+(``subordinator_draws``).  The solvers and ``subfrac sample`` both call
+it, and one path is the call at ``n_paths=1, start=stream_id``, so they
+agree bit for bit for the same seed, substream and path.  Paths follow
+the same rule: ``rsgp_paths`` builds the randomly scaled Gaussian paths
+and ``fk.base_positions`` the base Markov paths.
 One-sided stable draws take one log-domain Kanter formula of numpy's
 vectorized tan, log and exp (``stable_onesided_from_uniforms``), which
 rounds alike for strided, contiguous and scalar input.
@@ -60,7 +60,6 @@ __all__ = [
     "InverseSubordinatorLaw",
     "NumericCDFLaw",
     "PathGrid",
-    "SeedSpec",
     "StretchedLaw",
     "fbm_paths_batch",
     "first_passage",
@@ -69,13 +68,6 @@ __all__ = [
     "path_rng",
     "path_uniforms",
     "rsgp_paths",
-    "sample_A_stable_mixing",
-    "sample_fbm_path",
-    "sample_markov_path",
-    "sample_rsgp_path",
-    "sample_scriptA",
-    "sample_stable_subordinator",
-    "sample_time_change",
     "scriptA_draws",
     "stable_onesided_from_uniforms",
     "stable_subordinator_draws",
@@ -101,27 +93,21 @@ class InvalidHurst(ValueError):
     H = theta/(2 gamma)."""
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus path index; identical pairs give identical draws."""
-
-    master_seed: int
-    stream_id: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
+def _check_stream(master_seed: int, stream_id: int) -> None:
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {master_seed}")
+    if stream_id < 0:
+        raise ValueError(f"stream id must be nonnegative, got {stream_id}")
 
 
-def path_rng(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
+def path_rng(master_seed: int, substream: int, stream_id: int) -> np.random.Generator:
     """Generator over one path's stream, for draws of open-ended length."""
+    _check_stream(master_seed, stream_id)
     bg = np.random.Philox(
-        key=np.uint64(seed.master_seed),
+        key=np.uint64(master_seed),
         # an explicit uint64 array: a list would pass through float64 and
         # merge neighbouring counters above 2^53
-        counter=np.array([0, 0, substream, seed.stream_id], dtype=np.uint64),
+        counter=np.array([0, 0, substream, stream_id], dtype=np.uint64),
     )
     return np.random.Generator(bg)
 
@@ -172,6 +158,7 @@ def path_uniforms(
     Block b of a stream has counter (b + 1, 0, substream, stream_id) and
     yields 4 words; a uniform is (word >> 11) * 2^-53.
     """
+    _check_stream(master_seed, start)
     n_blocks = -(-k // 4)
     total = n_paths * n_blocks
     u = np.empty((total, 4))
@@ -240,8 +227,7 @@ def stable_symmetric_from_uniforms(u1, u2, delta: float):
 
 
 # The *_draws functions are the only draws of their random variables, for
-# paths start .. start + n_paths - 1 in one array pass; the solvers call
-# them, and the scalar sample_* helpers are their n = 1 row.  The array
+# paths start .. start + n_paths - 1 in one array pass.  The array
 # transforms round alike at every batch size, so a row never depends on
 # the batch it came in.
 
@@ -254,11 +240,6 @@ def stable_subordinator_draws(
     if t < 0:
         raise ValueError("t must be nonnegative")
     return subordinator_draws(bern, t, master_seed, n_paths, start)
-
-
-def sample_stable_subordinator(gamma: float, t: float, seed: SeedSpec) -> float:
-    """One draw of stable_subordinator_draws."""
-    return float(stable_subordinator_draws(gamma, t, seed.master_seed, 1, seed.stream_id)[0])
 
 
 def mixing_from_uniforms(u1, u2, beta: float):
@@ -277,11 +258,6 @@ def A_stable_mixing_draws(
     return mixing_from_uniforms(u[:, 0], u[:, 1], beta)
 
 
-def sample_A_stable_mixing(beta: float, seed: SeedSpec) -> float:
-    """One draw of A_stable_mixing_draws."""
-    return float(A_stable_mixing_draws(beta, seed.master_seed, 1, seed.stream_id)[0])
-
-
 def scriptA_draws(
     gamma: float, a_draws, master_seed: int, start: int = 0,
     substream: int = SUB_SUBORDINATOR,
@@ -293,13 +269,6 @@ def scriptA_draws(
     a = np.asarray(a_draws, dtype=float)
     bern = BernsteinSpec.stable_power(gamma)
     return subordinator_draws(bern, a, master_seed, a.size, start, substream)
-
-
-def sample_scriptA(
-    gamma: float, a_sampler: Callable[[SeedSpec], float], seed: SeedSpec
-) -> float:
-    """One draw of scriptA_draws, with A drawn by a_sampler(seed)."""
-    return float(scriptA_draws(gamma, [a_sampler(seed)], seed.master_seed, seed.stream_id)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +460,7 @@ def first_passage(
     queued = 0
     while True:
         for q in np.flatnonzero(path < 0)[: n_paths - queued]:
-            path[q], rngs[q] = queued, path_rng(SeedSpec(master_seed, start + queued), substream)
+            path[q], rngs[q] = queued, path_rng(master_seed, substream, start + queued)
             nxt[q] = steps[q] = 0
             base[q] = partial[q] = s_base[q] = 0.0
             queued += 1
@@ -585,11 +554,6 @@ def time_change_draws(
     raise TypeError(f"unknown time-change law {type(law).__name__}")
 
 
-def sample_time_change(law, t: float, seed: SeedSpec) -> float:
-    """One draw of time_change_draws."""
-    return float(time_change_draws(law, t, seed.master_seed, 1, seed.stream_id)[0])
-
-
 # ---------------------------------------------------------------------------
 # path grids, fractional Brownian motion, process paths
 # ---------------------------------------------------------------------------
@@ -669,11 +633,6 @@ def fbm_paths_batch(
     return paths
 
 
-def sample_fbm_path(H: float, grid: PathGrid, seed: SeedSpec) -> np.ndarray:
-    """One exact-covariance fractional Brownian path on the grid."""
-    return fbm_paths_batch(H, grid, seed.master_seed, 1, start=seed.stream_id)[0]
-
-
 def rsgp_paths(
     kind: str, cal_a, gamma: float, theta: float, grid: PathGrid, master_seed: int,
     start: int = 0, substream: int = SUB_GAUSSIAN,
@@ -705,24 +664,3 @@ def rsgp_paths(
     if kind != "timechanged_bm":
         paths *= np.sqrt(cal_a)[:, None]
     return paths
-
-
-def sample_rsgp_path(
-    kind: str, cal_a: float, gamma: float, theta: float, grid: PathGrid, seed: SeedSpec
-) -> np.ndarray:
-    """One path of rsgp_paths."""
-    return rsgp_paths(kind, [cal_a], gamma, theta, grid, seed.master_seed, seed.stream_id)[0]
-
-
-def sample_markov_path(
-    model, horizon: float, grid: PathGrid, seed: SeedSpec, x0: float = 0.0
-) -> np.ndarray:
-    """Path of the base Markov process on the grid rescaled to ``horizon``:
-    x0, then one row of ``fk.base_positions`` at the later nodes."""
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    from .fk import base_positions  # deferred: the solver module owns the process models
-
-    times = grid.nodes[1:] * (horizon / grid.horizon)
-    row = base_positions(model, x0, times[None, :], seed.master_seed, seed.stream_id)[0]
-    return np.concatenate([[x0], row])

@@ -299,7 +299,10 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
         return 1.0
     if beta == 1.0:
         # the function *is* exp; the series is used only where it is accurate
-        return math.exp(x)
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise OverflowError(f"E_1({x:.6g}) = e^{x:.6g} is past the float range") from None
     logs = _ml_logs(beta, x)
     if x > 0.0:
         return _float_series(logs, False, tol).value

@@ -69,6 +69,11 @@ class Budget:
     seed: int = 20240811
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        # the statistical criteria need a sample standard deviation
+        if self.paths < 2:
+            raise ValueError(f"paths must be >= 2, got {self.paths}")
+
 
 @dataclass(frozen=True)
 class CriterionResult:

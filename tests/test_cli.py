@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from subfrac.cli import (
 )
 from subfrac.fk import derive_time_change_law
 from subfrac.kernels import FAMILIES, make_kernel
-from subfrac.sampling import PathGrid, SeedSpec
+from subfrac.sampling import PathGrid
 
 REPO = Path(__file__).resolve().parents[1]
 PROBLEM = REPO / "demos" / "problems" / "ggbm_heat.json"
@@ -204,29 +205,29 @@ class TestOtherCommands:
         main(["sample", "--dist", "stable", "--gamma", "0.5", "--paths", "5", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    # each case draws path i alone: the array function at n_paths=1, start=i
     @pytest.mark.parametrize(
-        "dist, args, helper",
+        "dist, args, one_path",
         [
             ("stable", ["--gamma", "0.37", "--t", "1.3"],
-             lambda i: sampling.sample_stable_subordinator(0.37, 1.3, SeedSpec(5, i))),
+             lambda i: sampling.stable_subordinator_draws(0.37, 1.3, 5, 1, i)),
             ("stable", ["--gamma", "1.0"],
-             lambda i: sampling.sample_stable_subordinator(1.0, 1.0, SeedSpec(5, i))),
+             lambda i: sampling.stable_subordinator_draws(1.0, 1.0, 5, 1, i)),
             ("mixing", ["--beta", "0.63"],
-             lambda i: sampling.sample_A_stable_mixing(0.63, SeedSpec(5, i))),
+             lambda i: sampling.A_stable_mixing_draws(0.63, 5, 1, i)),
             ("script_a", ["--gamma", "0.55", "--beta", "0.7"],
-             lambda i: sampling.sample_scriptA(
-                 0.55, lambda s: sampling.sample_A_stable_mixing(0.7, s), SeedSpec(5, i))),
+             lambda i: sampling.scriptA_draws(0.55, sampling.A_stable_mixing_draws(0.7, 5, 1, i), 5, i)),
             ("time_change", ["--kernel", "ggbm:0.8,0.6", "--t", "1.2"],
-             lambda i: sampling.sample_time_change(GGBM_LAW, 1.2, SeedSpec(5, i))),
+             lambda i: sampling.time_change_draws(GGBM_LAW, 1.2, 5, 1, i)),
             ("time_change", ["--kernel", "msm:1.5,1,0.3,1.5", "--t", "0.7"],
-             lambda i: sampling.sample_time_change(MSM_LAW, 0.7, SeedSpec(5, i))),
+             lambda i: sampling.time_change_draws(MSM_LAW, 0.7, 5, 1, i)),
             ("fbm", ["--hurst", "0.3", "--grid-steps", "16"],
-             lambda i: list(sampling.sample_fbm_path(0.3, PathGrid(1.0, 16), SeedSpec(5, i)))),
+             lambda i: sampling.fbm_paths_batch(0.3, PathGrid(1.0, 16), 5, 1, start=i)),
             ("fbm", ["--hurst", "0.95", "--grid-steps", "16"],
-             lambda i: list(sampling.sample_fbm_path(0.95, PathGrid(1.0, 16), SeedSpec(5, i)))),
+             lambda i: sampling.fbm_paths_batch(0.95, PathGrid(1.0, 16), 5, 1, start=i)),
         ],
     )
-    def test_sample_matches_per_row_helpers(self, tmp_path, dist, args, helper):
+    def test_sample_matches_per_row_helpers(self, tmp_path, dist, args, one_path):
         n = 60
         out = tmp_path / "batch.csv"
         argv = ["sample", "--dist", dist, *args, "--paths", str(n), "--seed", "5"]
@@ -234,10 +235,7 @@ class TestOtherCommands:
         assert rc == EXIT_OK
         header = out.read_text().splitlines()[4].split(",")
         meta = {"subfrac_version": __version__, "dist": dist, "seed": 5, "paths": n}
-        rows = []
-        for i in range(n):
-            v = helper(i)
-            rows.append([i] + (v if isinstance(v, list) else [v]))
+        rows = [[i] + list(np.ravel(one_path(i))) for i in range(n)]
         write_csv(str(tmp_path / "rows.csv"), header, rows, meta)
         assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -286,6 +284,44 @@ class TestOtherCommands:
         )
         assert proc.returncode == 0
         assert "specfun-identities" in proc.stdout
+
+
+class TestSeedArguments:
+    """A seed outside [0, 2^64) is an input error (exit 2) naming the seed,
+    from the flags and from a problem file alike."""
+
+    def test_negative_solve_seed_flag(self, capsys):
+        rc = main(["solve", "--problem", str(PROBLEM), "--paths", "100", "--seed", "-5"])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err.strip() == "invalid input: seed must lie in [0, 2^64), got -5"
+
+    def test_problem_seed_beyond_64_bits(self, tmp_path, capsys):
+        doc = json.loads(PROBLEM.read_text())
+        doc["mc"] = {"paths": 100, "seed": 2**64}
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", "--problem", str(bad)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.strip() == (
+            "invalid input: seed must lie in [0, 2^64), got 18446744073709551616"
+        )
+
+    @pytest.mark.parametrize("dist", ["stable", "fbm"])
+    def test_negative_sample_seed_flag(self, capsys, dist):
+        assert main(["sample", "--dist", dist, "--seed", "-1"]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.strip() == "invalid input: seed must lie in [0, 2^64), got -1"
+
+
+class TestValidateArguments:
+    def test_seed_zero_is_used(self, tmp_path):
+        out = tmp_path / "v.csv"
+        main(["validate", "--only", "mixing-laws", "--paths", "2000", "--seed", "0", "--out", str(out)])
+        head = out.read_text().splitlines()
+        assert "# seed=0" in head and "# paths=2000" in head
+
+    @pytest.mark.parametrize("paths", [-3, 0, 1])
+    def test_too_few_paths_rejected(self, capsys, paths):
+        assert main(["validate", "--only", "mixing-laws", "--paths", str(paths)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.strip() == f"invalid input: paths must be >= 2, got {paths}"
 
 
 class TestSpecfunArguments:

@@ -25,7 +25,6 @@ from subfrac.fk import (
     StepCountInsufficient,
     ZeroPotential,
     derive_time_change_law,
-    doss_sussmann_flow,
     flow_map,
     path_values,
     solve,
@@ -315,35 +314,43 @@ class TestPathwiseVectorized:
         assert np.all(got[tau == 0.0] == U0(0.1))
 
 
+def exact_sin_flow(y, x):
+    """g(y, x) for dz/dy = 2 + sin z.  In u = tan(z/2) it separates as
+    du / (u^2 + u + 1) = dy, so tan(g/2) = (sqrt(3) tan W - 1) / 2 with
+    W = y sqrt(3)/2 + arctan((2 tan(x/2) + 1) / sqrt(3)), valid while
+    |W| < pi/2 (the trajectory stays inside (-pi, pi))."""
+    r3 = math.sqrt(3.0)
+    w = 0.5 * r3 * np.asarray(y, dtype=float) + math.atan((2.0 * math.tan(0.5 * x) + 1.0) / r3)
+    assert np.all(np.abs(w) < 0.5 * math.pi)
+    return 2.0 * np.arctan((r3 * np.tan(w) - 1.0) / 2.0)
+
+
 class TestFlow:
+    SIGMA = staticmethod(lambda z: 2.0 + math.sin(z))
+
     def test_constant_sigma_linear(self):
-        assert doss_sussmann_flow(lambda z: 2.5, 1.3, 0.4) == pytest.approx(
-            0.4 + 2.5 * 1.3, rel=1e-12
-        )
+        assert flow_map(lambda z: 2.5, [1.3], 0.4)[0] == pytest.approx(0.4 + 2.5 * 1.3, rel=1e-12)
 
     def test_initial_condition(self):
-        assert doss_sussmann_flow(lambda z: math.sin(z) + 2.0, 0.0, 0.7) == 0.7
+        assert flow_map(self.SIGMA, [0.0], 0.7)[0] == 0.7
 
     def test_fourth_order_convergence(self):
-        sigma = lambda z: 2.0 + math.sin(z)
-        ref = doss_sussmann_flow(sigma, 1.0, 0.0, ode_steps=2048)
-        errs = [
-            abs(doss_sussmann_flow(sigma, 1.0, 0.0, ode_steps=n, rich_tol=1e9) - ref)
-            for n in (8, 16, 32)
-        ]
+        # the fixed-step integrator under the flow map, against the exact flow
+        ref = exact_sin_flow(1.0, 0.0)
+        errs = [abs(fk_module._rk4(self.SIGMA, 0.0, 1.0 / n, n)[-1] - ref) for n in (8, 16, 32)]
         orders = [math.log(errs[i] / errs[i + 1], 2) for i in range(2)]
         assert min(orders) > 3.5
 
     def test_step_budget_guard(self):
-        with pytest.raises(StepCountInsufficient):
-            doss_sussmann_flow(lambda z: 2.0 + math.sin(5 * z), 4.0, 0.0, ode_steps=2)
+        # 2500 units of driver at 512 nodes per unit pass the 2^20 node bound
+        with pytest.raises(StepCountInsufficient, match="driver span"):
+            flow_map(self.SIGMA, [-1.0, 2500.0], 0.0)
 
     def test_flow_map_matches_scalar(self):
-        sigma = lambda z: 2.0 + math.sin(z)
-        ys = np.array([-1.5, -0.2, 0.0, 0.4, 2.0])
-        batch = flow_map(sigma, ys, 0.3)
-        for y, v in zip(ys, batch):
-            assert v == pytest.approx(doss_sussmann_flow(sigma, float(y), 0.3, 512), abs=1e-8)
+        # queried values on and between trajectory nodes, against the
+        # closed form on a range whose trajectory stays inside (-pi, pi)
+        ys = np.concatenate([[-1.5, -0.2, 0.0, 0.4], np.linspace(-2.5, 1.05, 71)])
+        assert np.max(np.abs(flow_map(self.SIGMA, ys, 0.3) - exact_sin_flow(ys, 0.3))) < 1e-8
 
     def test_flow_map_value_independent_of_batch(self):
         sigma = lambda z: 2.0 + math.sin(z)

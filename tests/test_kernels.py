@@ -18,11 +18,11 @@ from subfrac.kernels import (
     NormDivergent,
     SingularPoint,
     StretchFn,
+    TimeStretchedKernel,
     coefficient_tables,
     kernel_eval,
     make_kernel,
     phi_coefficients,
-    time_stretch_kernel,
     verify_assumption_k,
 )
 
@@ -242,21 +242,21 @@ class TestTimeStretch:
     def test_identity_stretch_is_noop(self):
         st = StretchFn(g=lambda u: u, g_dot=lambda u: 1.0, power=1.0)
         k = GGBMKernel(0.8, 0.6)
-        ks = time_stretch_kernel(k, st)
+        ks = TimeStretchedKernel(base=k, stretch=st)
         for t, s in ((1.0, 0.3), (1.7, 1.2)):
             assert kernel_eval(ks, t, s) == pytest.approx(kernel_eval(k, t, s), rel=1e-12)
         assert ks.theta == pytest.approx(k.theta)
 
     def test_square_stretch_of_power_kernel(self):
         st = StretchFn(g=lambda u: u * u, g_dot=lambda u: 2.0 * u, power=2.0)
-        ks = time_stretch_kernel(FractionalPowerKernel(0.5), st)
+        ks = TimeStretchedKernel(base=FractionalPowerKernel(0.5), stretch=st)
         t, s = 1.2, 0.7
         expect = (t * t - s * s) ** -0.5 * 2.0 * s / math.gamma(0.5)
         assert kernel_eval(ks, t, s) == pytest.approx(expect, rel=1e-12)
 
     def test_power_stretch_scales_homogeneity(self):
         st = StretchFn(g=lambda u: u**1.5, g_dot=lambda u: 1.5 * u**0.5, power=1.5)
-        ks = time_stretch_kernel(GGBMKernel(0.8, 0.6), st)
+        ks = TimeStretchedKernel(base=GGBMKernel(0.8, 0.6), stretch=st)
         assert ks.theta == pytest.approx(1.5 * 0.8)
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -307,21 +307,39 @@ class TestCoefficientRowBlocks:
             ConvPowerSumKernel(0.7, (0.4,), (0.5,)),
             CustomKernel(fn=lambda t, s: TestCoefficientRowBlocks.GGBM.eval(t, s), theta_value=0.8,
                          p_zero=0.8 / 0.6 - 1.0, p_end=-0.4),
-            time_stretch_kernel(GGBM, StretchFn(g=lambda u: u**1.5, g_dot=lambda u: 1.5 * u**0.5, power=1.5)),
+            TimeStretchedKernel(
+                base=GGBM, stretch=StretchFn(g=lambda u: u**1.5, g_dot=lambda u: 1.5 * u**0.5, power=1.5)
+            ),
         ],
         ids=["ggbm", "msm", "conv_power_sum", "custom", "time_stretched"],
     )
     def test_level_bit_equal_to_per_time_loop(self, kernel):
         tab = kernels_module.CoefficientTables(kernel, 1.0, 3, grid_size=300)
         for n in (1, 3):
-            assert np.array_equal(tab._level_values(n), level_per_time(tab, n))
+            assert np.array_equal(tab._level_values(n, tab._regular_blocks()), level_per_time(tab, n))
 
     def test_level_memory_is_bounded_by_the_row_block(self):
         tab = kernels_module.CoefficientTables(self.GGBM, 1.0, 2)
+        regular = tab._regular_blocks()
         tracemalloc.start()
         try:
-            tab._level_values(2)
+            tab._level_values(2, regular)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_regular_factors_evaluated_once_per_table(self):
+        # a custom kernel's regular factor calls its function once per grid
+        # row; the table makes those calls once, whatever its depth
+        calls = []
+
+        def fn(t, s):
+            calls.append(t)
+            return self.GGBM.eval(t, s)
+
+        for n_max in (2, 4):
+            calls.clear()
+            kernel = CustomKernel(fn=fn, theta_value=0.8, p_zero=0.8 / 0.6 - 1.0, p_end=-0.4)
+            kernels_module.CoefficientTables(kernel, 1.0, n_max, grid_size=50, quad_nodes=16)
+            assert len(calls) == 50

@@ -30,8 +30,6 @@ from subfrac.phi import (
     check_complete_monotone,
     gaver_stehfest,
     phi_closed,
-    phi_series,
-    phi_volterra,
     time_law_cdf,
 )
 from subfrac.series import TruncationBudgetExceeded
@@ -126,7 +124,7 @@ class TestSeriesEvaluator:
     def test_radius_guard(self):
         sp = SeriesPhi(GGBM, use_homogeneous=False, horizon=1.5, n_max=40)
         with pytest.raises(TruncationBudgetExceeded):
-            phi_series(sp, 1.0, -40.0)
+            sp.value(1.0, -40.0)
 
     def test_homogeneous_route_requires_theta(self):
         k = ConvPowerSumKernel(beta=0.5, betas=(0.3,), bs=(0.5,))
@@ -134,28 +132,33 @@ class TestSeriesEvaluator:
             SeriesPhi(k, use_homogeneous=True)
 
 
+def volterra_values(kernel, lam, ts, n_steps=1024):
+    ev = VolterraPhi(kernel, horizon=1.0, n_steps=n_steps)
+    return np.array([ev.value(t, lam) for t in ts])
+
+
 class TestVolterra:
     def test_lambda_zero_exact(self):
         tg = np.linspace(0, 1, 11)
-        assert (phi_volterra(GGBM, 0.0, tg) == 1.0).all()
+        assert (volterra_values(GGBM, 0.0, tg) == 1.0).all()
 
     def test_power_kernel_against_mittag_leffler(self):
         tg = np.linspace(0, 1, 11)
-        vals = phi_volterra(FractionalPowerKernel(0.5), -1.0, tg, n_steps=2048)
+        vals = volterra_values(FractionalPowerKernel(0.5), -1.0, tg, n_steps=2048)
         exact = np.array([mittag_leffler(0.5, -math.sqrt(t)) for t in tg])
         assert np.max(np.abs(vals - exact)) < 1e-5
 
     def test_ggbm_against_closed(self):
         tg = np.linspace(0.1, 1.0, 10)
         for lam in (-1.0, -5.0):
-            vals = phi_volterra(GGBM, lam, tg, n_steps=2048)
+            vals = volterra_values(GGBM, lam, tg, n_steps=2048)
             exact = np.array([phi_closed(GGBM, t, lam) for t in tg])
             assert np.max(np.abs(vals - exact)) < 1e-5
 
     def test_conv_kernel_solver_runs(self):
         k = ConvPowerSumKernel(beta=0.5, betas=(0.3,), bs=(0.5,))
         tg = np.linspace(0.1, 1.0, 10)
-        vals = phi_volterra(k, -1.0, tg, n_steps=1024)
+        vals = volterra_values(k, -1.0, tg, n_steps=1024)
         exact = np.array([phi_closed(k, t, -1.0) for t in tg])
         assert np.max(np.abs(vals - exact)) < 1e-4
 
@@ -165,20 +168,23 @@ class TestVolterra:
         errs = []
         steps = (256, 512, 1024)
         for n in steps:
-            v = phi_volterra(k, -2.0, [1.0], n_steps=n)[0]
+            v = volterra_values(k, -2.0, [1.0], n_steps=n)[0]
             errs.append(abs(v - mittag_leffler(0.5, -2.0)))
         order = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert -order >= 1.5
 
     def test_refinement_check_passes_smooth_case(self):
+        # halving the grid moves a smooth case by far less than 1e-3
         tg = np.linspace(0, 1, 6)
-        phi_volterra(GGBM, -1.0, tg, n_steps=1024, check=True)
+        fine = volterra_values(GGBM, -1.0, tg, n_steps=1024)
+        assert np.max(np.abs(fine - volterra_values(GGBM, -1.0, tg, n_steps=512))) < 1e-3
 
     def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            phi_volterra(GGBM, -1.0, [-0.5, 1.0])
-        with pytest.raises(ValueError):
-            phi_volterra(GGBM, -1.0, [1.0, 0.5])
+        # a negative time would extrapolate the interpolant (to -88234.6 here)
+        ev = VolterraPhi(GGBM, horizon=1.0)
+        for lam in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="^t must be nonnegative$"):
+                ev.value(-0.5, lam)
 
     def test_evaluator_horizon_enforced(self):
         ev = VolterraPhi(GGBM, horizon=1.0)
@@ -435,14 +441,14 @@ class TestVolterraRowBlocks:
         for n_steps in (7, 300):
             ref_t, ref = volterra_solve_per_row(kernel, -1.7, 1.0, n_steps, 2.0)
             profiles = phi_module._conv_profiles(kernel.parts(), 1.0)
-            t, got = phi_module._volterra_solve(kernel, -1.7, 1.0, n_steps, 2.0, profiles)
+            t, got = phi_module._volterra_solve(kernel, -1.7, 1.0, n_steps, profiles)
             assert np.array_equal(t, ref_t)
             assert np.array_equal(got, ref)
 
     def test_solve_memory_is_bounded_by_the_row_block(self):
         tracemalloc.start()
         try:
-            phi_module._volterra_solve(GGBM, -1.0, 1.0, 256, 2.0, [None])
+            phi_module._volterra_solve(GGBM, -1.0, 1.0, 256, [None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

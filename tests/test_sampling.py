@@ -21,19 +21,12 @@ from subfrac.sampling import (
     InverseSubordinatorLaw,
     NumericCDFLaw,
     PathGrid,
-    SeedSpec,
     fbm_paths_batch,
     first_passage,
     inverse_passage_batch,
     mixing_from_uniforms,
     path_uniforms,
-    sample_A_stable_mixing,
-    sample_fbm_path,
-    sample_markov_path,
-    sample_rsgp_path,
-    sample_scriptA,
-    sample_stable_subordinator,
-    sample_time_change,
+    rsgp_paths,
     scriptA_draws,
     stable_onesided_from_uniforms,
     stable_subordinator_draws,
@@ -52,10 +45,18 @@ def mc_dev(samples, target):
 
 class TestSeedContract:
     def test_seed_validation(self):
-        with pytest.raises(ValueError):
-            SeedSpec(-1, 0)
-        with pytest.raises(ValueError):
-            SeedSpec(1, -2)
+        for seed, stream, message in (
+            (-1, 0, r"^seed must lie in \[0, 2\^64\), got -1$"),
+            (2**64, 0, r"^seed must lie in \[0, 2\^64\), got 18446744073709551616$"),
+            (1, -2, r"^stream id must be nonnegative, got -2$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                path_uniforms(seed, 0, 3, 2, start=stream)
+            with pytest.raises(ValueError, match=message):
+                sampling.path_rng(seed, 0, stream)
+        # the bounds themselves are valid
+        assert path_uniforms(2**64 - 1, 0, 1, 2).shape == (1, 2)
+        sampling.path_rng(0, 0, 0)
 
     def test_chunking_invariance(self):
         whole = path_uniforms(SEED, 2, 100, 3)
@@ -63,9 +64,10 @@ class TestSeedContract:
         assert np.array_equal(whole[60:], tail)
 
     def test_scalar_equals_batch_row(self):
-        v = sample_stable_subordinator(0.5, 1.0, SeedSpec(SEED, 7))
+        v = stable_subordinator_draws(0.5, 1.0, SEED, 1, start=7)[0]
         u = path_uniforms(SEED, SUB_SUBORDINATOR, 1, 2, start=7)
         assert v == float(stable_onesided_from_uniforms(u[0, 0], u[0, 1], 0.5))
+        assert v == stable_subordinator_draws(0.5, 1.0, SEED, 10)[7]
 
     def test_substreams_differ(self):
         a = path_uniforms(SEED, 0, 5, 4)
@@ -109,7 +111,7 @@ class TestEngineMatchesNumpyPhilox:
         for i, ref in enumerate(reference_rows(seed, substream, n, k, start)):
             assert np.array_equal(got[i], ref)
             # the lazily drawn first-passage streams are the same streams
-            lazy = sampling.path_rng(SeedSpec(seed, start + i), substream)
+            lazy = sampling.path_rng(seed, substream, start + i)
             assert np.array_equal(lazy.random(k), ref)
 
     @settings(max_examples=25, deadline=None)
@@ -132,7 +134,7 @@ class TestEngineMatchesNumpyPhilox:
 
 class TestStableSubordinator:
     def test_degenerate(self):
-        assert sample_stable_subordinator(1.0, 2.5, SeedSpec(SEED, 0)) == 2.5
+        assert np.all(stable_subordinator_draws(1.0, 2.5, SEED, 3) == 2.5)
 
     def test_laplace_conformance(self):
         n = 100_000
@@ -145,8 +147,8 @@ class TestStableSubordinator:
 
     def test_scaling_law(self):
         # draws at time t are t^{1/gamma} times the unit-time draws
-        s1 = sample_stable_subordinator(0.5, 1.0, SeedSpec(SEED, 3))
-        s2 = sample_stable_subordinator(0.5, 4.0, SeedSpec(SEED, 3))
+        s1 = stable_subordinator_draws(0.5, 1.0, SEED, 1, start=3)[0]
+        s2 = stable_subordinator_draws(0.5, 4.0, SEED, 1, start=3)[0]
         assert s2 == pytest.approx(16.0 * s1, rel=1e-12)
 
     def test_invalid_gamma(self):
@@ -218,7 +220,7 @@ class TestStableNearOne:
 
 class TestMixingVariable:
     def test_degenerate(self):
-        assert sample_A_stable_mixing(1.0, SeedSpec(SEED, 0)) == 1.0
+        assert np.all(A_stable_mixing_draws(1.0, SEED, 3) == 1.0)
 
     def test_laplace_transform_is_mittag_leffler(self):
         n = 100_000
@@ -243,18 +245,18 @@ class TestTimeChange:
     )
 
     def test_zero_time(self):
-        assert sample_time_change(self.LAW, 0.0, SeedSpec(SEED, 5)) == 0.0
+        assert np.all(time_change_draws(self.LAW, 0.0, SEED, 3, start=5) == 0.0)
 
     def test_product_scaling_exact(self):
-        a1 = sample_time_change(self.LAW, 1.0, SeedSpec(SEED, 5))
-        a2 = sample_time_change(self.LAW, 2.0, SeedSpec(SEED, 5))
+        a1 = time_change_draws(self.LAW, 1.0, SEED, 1, start=5)[0]
+        a2 = time_change_draws(self.LAW, 2.0, SEED, 1, start=5)[0]
         assert a2 == pytest.approx(2.0**0.8 * a1, rel=1e-12)
 
     def test_inverse_subordinator_paths_monotone(self):
         law = InverseSubordinatorLaw(BernsteinSpec.stable_power(0.5), steps_per_unit=2**10)
         prev = 0.0
         for t in (0.25, 0.5, 1.0, 2.0):
-            e = sample_time_change(law, t, SeedSpec(SEED, 11))
+            e = time_change_draws(law, t, SEED, 1, start=11)[0]
             assert e >= prev
             prev = e
 
@@ -286,7 +288,7 @@ def passage_reference(bern, levels, n_paths, seed, dt, substream, chunk, max_chu
     n_cols = 2 * bern.n_stable_terms
     out = np.full((n_paths, len(levels)), np.nan)
     for i in range(n_paths):
-        rng = sampling.path_rng(SeedSpec(seed, start + i), substream)
+        rng = sampling.path_rng(seed, substream, start + i)
         level, s_base = 0.0, 0.0
         for _ in range(max_chunks):
             inc = bern.increments_from_uniforms(rng.random((chunk, n_cols)), dt)
@@ -374,9 +376,8 @@ class TestFirstPassage:
 
 class TestScriptA:
     def test_gamma_one_reduces_to_amplitude(self):
-        spec = SeedSpec(SEED, 4)
-        a = sample_A_stable_mixing(0.6, spec)
-        assert sample_scriptA(1.0, lambda s: sample_A_stable_mixing(0.6, s), spec) == a
+        a = A_stable_mixing_draws(0.6, SEED, 5, start=4)
+        assert np.array_equal(scriptA_draws(1.0, a, SEED, start=4), a)
 
     def test_transform_identity(self):
         # E[e^{-lam script_A t^{theta/gamma}}] = Phi(t, -lam^gamma) at t = 1
@@ -391,21 +392,18 @@ class TestScriptA:
         assert abs(dev) < 4.0
 
     def test_nonnegative(self):
-        for i in range(50):
-            assert sample_scriptA(
-                0.7, lambda s: sample_A_stable_mixing(0.5, s), SeedSpec(SEED, i)
-            ) >= 0.0
+        assert np.all(scriptA_draws(0.7, A_stable_mixing_draws(0.5, SEED, 50), SEED) >= 0.0)
 
 
 class TestHelpersAreRowsOfOneArrayFunction:
-    """The scalar helper at SeedSpec(SEED, i) is row i of its array
-    function, bit for bit, and that function is the array arithmetic of
-    the solvers, on their substreams."""
+    """Row i of each array function is its call at n_paths=1, start=i, bit
+    for bit, and that function is the array arithmetic of the solvers, on
+    their substreams."""
 
     N = 2000
 
     def draws(self, name):
-        """(array function, solver arithmetic, scalar helper) of one variable."""
+        """(array function, solver arithmetic, one path i) of one variable."""
         from subfrac.fk import derive_time_change_law
         from subfrac.kernels import make_kernel
 
@@ -416,13 +414,13 @@ class TestHelpersAreRowsOfOneArrayFunction:
             return (
                 stable_subordinator_draws(0.37, 1.3, SEED, n),
                 1.3 ** (1.0 / 0.37) * stable_onesided_from_uniforms(us[:, 0], us[:, 1], 0.37),
-                lambda s: sample_stable_subordinator(0.37, 1.3, s),
+                lambda i: stable_subordinator_draws(0.37, 1.3, SEED, 1, i),
             )
         if name == "mixing":
             return (
                 A_stable_mixing_draws(0.63, SEED, n),
                 mixing_from_uniforms(um[:, 0], um[:, 1], 0.63),
-                lambda s: sample_A_stable_mixing(0.63, s),
+                lambda i: A_stable_mixing_draws(0.63, SEED, 1, i),
             )
         if name == "script_a":
             amp = mixing_from_uniforms(um[:, 0], um[:, 1], 0.7)
@@ -430,14 +428,14 @@ class TestHelpersAreRowsOfOneArrayFunction:
             return (
                 scriptA_draws(0.55, A_stable_mixing_draws(0.7, SEED, n), SEED),
                 amp ** (1.0 / 0.55) * eta1,
-                lambda s: sample_scriptA(0.55, lambda r: sample_A_stable_mixing(0.7, r), s),
+                lambda i: scriptA_draws(0.55, A_stable_mixing_draws(0.7, SEED, 1, i), SEED, i),
             )
         if name == "inverse_subordinator":
             law = InverseSubordinatorLaw(BernsteinSpec.stable_power(0.5), steps_per_unit=2**10)
             return (
                 time_change_draws(law, 0.5, SEED, n),
                 inverse_passage_batch(law.bernstein, 0.5, n, SEED, SUB_MIXING, 2**10),
-                lambda s: sample_time_change(law, 0.5, s),
+                lambda i: time_change_draws(law, 0.5, SEED, 1, i),
             )
         spec = {
             "ggbm": {"family": "ggbm", "alpha": 0.8, "beta": 0.6},
@@ -447,7 +445,7 @@ class TestHelpersAreRowsOfOneArrayFunction:
         return (
             time_change_draws(law, 1.2, SEED, n),
             law.sample_from_uniforms(1.2, um),
-            lambda s: sample_time_change(law, 1.2, s),
+            lambda i: time_change_draws(law, 1.2, SEED, 1, i),
         )
 
     @pytest.mark.parametrize(
@@ -455,8 +453,8 @@ class TestHelpersAreRowsOfOneArrayFunction:
         ["stable", "mixing", "script_a", "ggbm", "msm_numeric_cdf", "inverse_subordinator"],
     )
     def test_helper_is_row_of_array_function(self, name):
-        batch, solver, helper = self.draws(name)
-        rows = np.array([helper(SeedSpec(SEED, i)) for i in range(self.N)])
+        batch, solver, one_path = self.draws(name)
+        rows = np.concatenate([one_path(i) for i in range(self.N)])
         assert np.array_equal(rows, solver), f"{np.mean(rows != solver):.1%} of rows differ"
         assert np.array_equal(batch, solver)
         assert isinstance(batch, np.ndarray)
@@ -464,8 +462,8 @@ class TestHelpersAreRowsOfOneArrayFunction:
 
 class TestFBM:
     def test_starts_at_zero(self):
-        p = sample_fbm_path(0.7, PathGrid(1.0, 32), SeedSpec(SEED, 0))
-        assert p[0] == 0.0
+        p = fbm_paths_batch(0.7, PathGrid(1.0, 32), SEED, 3)
+        assert np.all(p[:, 0] == 0.0)
 
     def test_brownian_case_independent_increments(self):
         paths = fbm_paths_batch(0.5, PathGrid(1.0, 16), SEED, 30_000)
@@ -489,7 +487,7 @@ class TestFBM:
 
     def test_hurst_validation(self):
         with pytest.raises(InvalidHurst):
-            sample_fbm_path(1.2, PathGrid(1.0, 8), SeedSpec(SEED, 0))
+            fbm_paths_batch(1.2, PathGrid(1.0, 8), SEED, 1)
 
     def test_cholesky_fallback(self, monkeypatch):
         H, grid = 0.7, PathGrid(1.0, 16)
@@ -509,13 +507,7 @@ class TestRSGP:
         n = 20_000
         finals = {}
         for kind in ("timechanged_bm", "scaled_bm", "scaled_fbm"):
-            vals = np.array(
-                [
-                    sample_rsgp_path(kind, 0.7, 1.0, 0.8, grid, SeedSpec(SEED, i))[-1]
-                    for i in range(n // 10)
-                ]
-            )
-            finals[kind] = vals
+            finals[kind] = rsgp_paths(kind, np.full(n // 10, 0.7), 1.0, 0.8, grid, SEED)[:, -1]
         keys = list(finals)
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
@@ -529,28 +521,28 @@ class TestRSGP:
     def test_zero_amplitude_scaled_kinds(self):
         grid = PathGrid(1.0, 8)
         for kind in ("scaled_bm", "scaled_fbm"):
-            p = sample_rsgp_path(kind, 0.0, 1.0, 0.8, grid, SeedSpec(SEED, 1))
+            p = rsgp_paths(kind, [0.0], 1.0, 0.8, grid, SEED, start=1)
             assert np.all(p == 0.0)
 
     def test_invalid_hurst(self):
         with pytest.raises(InvalidHurst):
-            sample_rsgp_path("scaled_fbm", 1.0, 0.5, 1.9, PathGrid(1.0, 8), SeedSpec(SEED, 0))
+            rsgp_paths("scaled_fbm", [1.0], 0.5, 1.9, PathGrid(1.0, 8), SEED)
 
 
 class TestPathHelpersAreRowsOfOneArrayFunction:
-    """sample_markov_path and sample_rsgp_path are the n = 1 rows of
-    fk.base_positions and sampling.rsgp_paths."""
+    """Path i of fk.base_positions and sampling.rsgp_paths is their
+    one-row call at start=i."""
 
     N, GRID, HORIZON, X0 = 50, PathGrid(2.0, 24), 1.3, 0.4
 
     def times(self):
         return np.tile(self.GRID.nodes[1:] * (self.HORIZON / self.GRID.horizon), (self.N, 1))
 
-    def helper_rows(self, base):
-        return [
-            sample_markov_path(base, self.HORIZON, self.GRID, SeedSpec(SEED, i), self.X0)
-            for i in range(self.N)
-        ]
+    def one_rows(self, base):
+        from subfrac.fk import base_positions
+
+        times = self.times()[:1]
+        return [base_positions(base, self.X0, times, SEED, start=i)[0] for i in range(self.N)]
 
     @pytest.mark.parametrize("name", ["brownian", "stable"])
     def test_markov_path_is_row_of_base_positions(self, name):
@@ -558,81 +550,63 @@ class TestPathHelpersAreRowsOfOneArrayFunction:
 
         base = BrownianDrift(0.3) if name == "brownian" else StableLevy(1.2)
         batch = base_positions(base, self.X0, self.times(), SEED)
-        for i, path in enumerate(self.helper_rows(base)):
-            assert path[0] == self.X0
-            assert np.array_equal(path, np.concatenate([[self.X0], batch[i]]))
+        assert np.array_equal(np.array(self.one_rows(base)), batch)
 
     def test_flow_path_is_row_of_base_positions(self):
         from subfrac.fk import DossSussmann, base_positions
 
         base = DossSussmann(sigma=lambda z: 1.0 + 0.5 * math.sin(z), w=0.2)
-        times = self.times()
-        batch = base_positions(base, self.X0, times, SEED)
-        for i, path in enumerate(self.helper_rows(base)):
-            assert path[0] == self.X0
-            one = base_positions(base, self.X0, times[:1], SEED, start=i)[0]
-            assert np.array_equal(path[1:], one)
+        batch = base_positions(base, self.X0, self.times(), SEED)
+        for i, path in enumerate(self.one_rows(base)):
             # flow_map reads fixed trajectory nodes, so a row of a larger
             # batch is the same value too
-            assert np.max(np.abs(path[1:] - batch[i])) < 1e-8
+            assert np.max(np.abs(path - batch[i])) < 1e-8
 
     @pytest.mark.parametrize("kind", ["timechanged_bm", "scaled_bm", "scaled_fbm"])
     def test_rsgp_path_is_row_of_rsgp_paths(self, kind):
         amps = 0.2 + 0.05 * np.arange(self.N)
-        batch = sampling.rsgp_paths(kind, amps, 0.7, 0.8, self.GRID, SEED)
-        rows = np.array(
-            [
-                sample_rsgp_path(kind, a, 0.7, 0.8, self.GRID, SeedSpec(SEED, i))
-                for i, a in enumerate(amps)
-            ]
+        batch = rsgp_paths(kind, amps, 0.7, 0.8, self.GRID, SEED)
+        rows = np.concatenate(
+            [rsgp_paths(kind, [a], 0.7, 0.8, self.GRID, SEED, start=i) for i, a in enumerate(amps)]
         )
         assert np.array_equal(rows, batch)
+
+
+def base_finals(base, grid, n, x0=0.0, start=0):
+    """(n, n_steps) positions of the base process on the grid's later nodes."""
+    from subfrac.fk import base_positions
+
+    return base_positions(base, x0, np.tile(grid.nodes[1:], (n, 1)), SEED, start=start)
 
 
 class TestMarkovPaths:
     @pytest.mark.parametrize("horizon", [-1.0, 0.0])
     def test_nonpositive_horizon_rejected(self, horizon):
-        from subfrac.fk import BrownianDrift
-
         with pytest.raises(ValueError, match="horizon must be positive"):
-            sample_markov_path(BrownianDrift(0.0), horizon, PathGrid(1.0, 8), SeedSpec(SEED, 0))
+            PathGrid(horizon, 8)
 
     def test_brownian_moments(self):
         from subfrac.fk import BrownianDrift
 
-        grid = PathGrid(1.0, 16)
-        finals = np.array(
-            [
-                sample_markov_path(BrownianDrift(2.0), 1.0, grid, SeedSpec(SEED, i))[-1]
-                for i in range(20_000)
-            ]
-        )
+        finals = base_finals(BrownianDrift(2.0), PathGrid(1.0, 16), 20_000)[:, -1]
         assert abs(mc_dev(finals, 2.0)) < 4.0
         assert np.var(finals) == pytest.approx(1.0, rel=0.05)
 
     def test_stable_characteristic_function(self):
         from subfrac.fk import StableLevy
 
-        grid = PathGrid(1.0, 8)
-        finals = np.array(
-            [
-                sample_markov_path(StableLevy(1.5), 1.0, grid, SeedSpec(SEED, i))[-1]
-                for i in range(20_000)
-            ]
-        )
+        finals = base_finals(StableLevy(1.5), PathGrid(1.0, 8), 20_000)[:, -1]
         # E[e^{i u X_1}] = exp(-(u^2/2)^{delta/2}) at u = 1
         target = math.exp(-(0.5**0.75))
         dev = mc_dev(np.cos(finals), target)
         assert abs(dev) < 4.0
 
     def test_flow_path_constant_sigma(self):
-        from subfrac.fk import DossSussmann
+        from subfrac.fk import BrownianDrift, DossSussmann
 
         grid = PathGrid(1.0, 16)
         model = DossSussmann(sigma=lambda z: 3.0, w=0.5)
-        p = sample_markov_path(model, 1.0, grid, SeedSpec(SEED, 2), x0=1.0)
+        p = base_finals(model, grid, 1, x0=1.0, start=2)
         # g(y, x) = x + 3 y, driver = B + 0.5 t
-        from subfrac.fk import BrownianDrift
-
-        b = sample_markov_path(BrownianDrift(0.5), 1.0, grid, SeedSpec(SEED, 2))
+        b = base_finals(BrownianDrift(0.5), grid, 1, start=2)
         assert np.allclose(p, 1.0 + 3.0 * b, atol=1e-7)

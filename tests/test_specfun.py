@@ -443,6 +443,12 @@ class TestNonFiniteArguments:
         ):
             call()
 
+    def test_overflowing_exponential_is_named(self):
+        # beta = 1 is exp itself; e^x leaves the float range above x = 709.78
+        assert mittag_leffler(1.0, 709.78) == math.exp(709.78)
+        with pytest.raises(OverflowError, match=r"^E_1\(710\) = e\^710 is past the float range$"):
+            mittag_leffler(1.0, 710.0)
+
     @pytest.mark.parametrize("z, name, value", [([math.nan, -0.2], "z[0]", "nan"), ([-0.5, -math.inf], "z[1]", "-inf")])
     def test_multinomial_rejects_a_non_finite_argument_by_name(self, z, name, value):
         # a non-finite order sum never counts as small, so the sum would
