@@ -10,7 +10,7 @@ check -- it is also acceptance criterion 2 of the validation matrix.
 
 import numpy as np
 
-from subfrac import GGBMKernel, MSMKernel, SeriesPhi, VolterraPhi, phi_closed
+from subfrac import ClosedFormPhi, GGBMKernel, MSMKernel, SeriesPhi, VolterraPhi
 from subfrac.kernels import phi_coefficients
 
 for kernel, label in (
@@ -18,13 +18,14 @@ for kernel, label in (
     (MSMKernel(a=2.0, b=1.0, mu=0.5, nu=2.0), "Appell-family kernel (2, 1, 0.5, 2)"),
 ):
     series = SeriesPhi(kernel)
+    closed = ClosedFormPhi(kernel)
     volterra = VolterraPhi(kernel, horizon=1.0, n_steps=2048)
     print(f"\n{label}")
     print(f"{'t':>5} {'lam':>5} {'series':>16} {'closed':>16} {'volterra':>16}")
     for t in (0.25, 1.0):
         for lam in (1.0, 5.0):
             s = series.value(t, -lam)
-            c = phi_closed(kernel, t, -lam)
+            c = closed.value(t, -lam)
             v = volterra.value(t, -lam)
             print(f"{t:5.2f} {lam:5.1f} {s:16.12f} {c:16.12f} {v:16.12f}")
 

@@ -56,7 +56,6 @@ from .phi import (
     SeriesPhi,
     VolterraPhi,
     check_complete_monotone,
-    phi_closed,
     time_law_cdf,
 )
 from .sampling import BernsteinSpec, PathGrid

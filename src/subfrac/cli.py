@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .fk import (
+    REPRESENTATIONS,
     BrownianDrift,
     ConstantPotential,
     FKProblem,
@@ -162,9 +163,7 @@ PROBLEM_SCHEMA = {
                 "items": {"type": "number"},
             },
         },
-        "representation": {
-            "enum": ["path", "timechanged_bm", "scaled_bm", "scaled_fbm"]
-        },
+        "representation": {"enum": list(REPRESENTATIONS)},
         "mc": {
             "type": "object",
             "additionalProperties": False,
@@ -268,6 +267,8 @@ def config_hash(effective: dict) -> str:
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
@@ -344,18 +345,30 @@ def cmd_phi(args) -> int:
     horizon = float(max(t_vals.max(), 1e-6))
     series = SeriesPhi(kernel, horizon=max(horizon, 1.0))
     vol = VolterraPhi(kernel, horizon=horizon, n_steps=args.grid_steps)
-    closed_ok = has_closed_form(kernel)
-    closed = ClosedFormPhi(kernel) if closed_ok else None
+    closed = ClosedFormPhi(kernel) if has_closed_form(kernel) else None
     rows = []
     worst = 0.0
+    failed = False
+
+    def served(route, fn, t, lam):
+        """fn(t, -lam), or None (named on stderr) when the route fails there."""
+        try:
+            return fn(t, -lam)
+        except _NUMERICAL_ERRORS as exc:
+            print(f"{route} route failed at t={t:g}, lambda={lam:g}: {exc}", file=sys.stderr)
+            return None
+
     for t in t_vals:
         for lam in lam_vals:
-            s = series.value(float(t), -float(lam))
-            c = closed.value(float(t), -float(lam)) if closed else s
-            v = vol.value(float(t), -float(lam)) if t > 0 else 1.0
-            disc = max(abs(s - c), abs(v - c), abs(s - v))
-            worst = max(worst, disc)
-            rows.append([t, lam, s, c, v, disc])
+            t, lam = float(t), float(lam)
+            s = served("series", series.value, t, lam)
+            # without a closed form the closed column repeats the series value
+            c = served("closed-form", closed.value, t, lam) if closed else s
+            v = served("volterra", vol.value, t, lam) if t > 0 else 1.0
+            failed = failed or None in (s, c, v)
+            gaps = [abs(a - b) for a, b in ((s, c), (v, c), (s, v)) if a is not None and b is not None]
+            worst = max([worst, *gaps])
+            rows.append([t, lam, s, c, v, max(gaps, default=None)])
     meta = {
         "subfrac_version": __version__,
         "kernel": args.kernel,
@@ -363,7 +376,7 @@ def cmd_phi(args) -> int:
         "tol": args.tol,
     }
     write_csv(args.out, ["t", "lambda", "phi_series", "phi_closed", "phi_volterra", "max_discrepancy"], rows, meta)
-    return EXIT_OK if worst < args.tol else EXIT_NUMERICAL
+    return EXIT_OK if worst < args.tol and not failed else EXIT_NUMERICAL
 
 
 def cmd_specfun(args) -> int:

@@ -123,10 +123,10 @@ class DossSussmann:
         validate_sigma_probe(self.sigma)
 
 
-def validate_sigma_probe(sigma: Callable, half_width: float = 40.0) -> tuple[float, float, float]:
+def validate_sigma_probe(sigma: Callable) -> None:
     """Check boundedness of sigma and its first two derivatives on a probe
-    grid (finite differences); returns the observed sups."""
-    x = np.linspace(-half_width, half_width, 641)
+    grid over [-40, 40] (finite differences)."""
+    x = np.linspace(-40.0, 40.0, 641)
     v = np.asarray([sigma(xi) for xi in x], dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("sigma not finite on the probe grid")
@@ -136,7 +136,6 @@ def validate_sigma_probe(sigma: Callable, half_width: float = 40.0) -> tuple[flo
     sups = (float(np.max(np.abs(v))), float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
     if max(sups) > 1e6:
         raise ValueError(f"sigma or its derivatives look unbounded on the probe grid: sups={sups}")
-    return sups
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,13 @@ class ProcessModel:
 
 
 @dataclass(frozen=True)
-class ZeroPotential:
-    pass
+class ConstantPotential:
+    c: float
 
 
 @dataclass(frozen=True)
-class ConstantPotential:
-    c: float
+class ZeroPotential(ConstantPotential):
+    c: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ REPRESENTATIONS = ("path", "timechanged_bm", "scaled_bm", "scaled_fbm")
 class FKProblem:
     kernel: MemoryKernel
     process: ProcessModel
-    potential: ZeroPotential | ConstantPotential | CallablePotential
+    potential: ConstantPotential | CallablePotential
     u0: GaussianBump
     eval_points: tuple[tuple[float, float], ...]
     law: object | None = None  # derived from the kernel when None
@@ -226,7 +225,7 @@ class FKProblem:
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.representation!r}")
         sub = self.process.subordination
-        if not sub.is_identity:
+        if sub.stable_gamma != 1.0:
             if isinstance(self.potential, ConstantPotential) and self.potential.c > 0:
                 raise ValueError(
                     "subordinated problems require a nonpositive potential (c <= 0)"
@@ -254,17 +253,11 @@ class FKProblem:
                 raise RsgpScopeError(
                     "scaled-Gaussian representations need a homogeneous kernel"
                 )
-            if sub.kind not in ("identity", "stable_power"):
+            if sub.stable_gamma is None:
                 raise RsgpScopeError(
                     "scaled-Gaussian representations need a stable-power "
                     "subordination (or none)"
                 )
-
-    @property
-    def gamma(self) -> float:
-        sub = self.process.subordination
-        return sub.gamma if sub.kind == "stable_power" else 1.0
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -469,9 +462,9 @@ def _pathwise_values(problem: FKProblem, t, x, tau, master_seed, base_sub, grid_
 def _rsgp_values(problem: FKProblem, law, t, x, n_paths, master_seed, base_sub, start=0):
     """Values under the randomly scaled Gaussian representations: the
     final column of their paths on [0, t]."""
-    gamma = problem.gamma
+    gamma = problem.process.subordination.stable_gamma
     k = problem.kernel.theta / gamma
-    c = problem.potential.c if isinstance(problem.potential, ConstantPotential) else 0.0
+    c = problem.potential.c
     if not isinstance(law, HomogeneousProductLaw):
         raise RsgpScopeError("scaled-Gaussian representations need the product-form law")
     cal_a = _combined_amplitude(law, gamma, n_paths, master_seed, base_sub, start)
@@ -508,10 +501,7 @@ def path_values(
     if isinstance(problem.potential, CallablePotential):
         return _pathwise_values(problem, t, x, tau, seed, base_sub, grid_steps, start)
     positions = _marginal_positions(problem, tau, x, seed, base_sub, start)
-    values = np.asarray(problem.u0(positions), dtype=float)
-    if isinstance(problem.potential, ConstantPotential):
-        values = values * np.exp(problem.potential.c * tau)
-    return values
+    return np.asarray(problem.u0(positions), dtype=float) * np.exp(problem.potential.c * tau)
 
 
 def solve(
@@ -603,18 +593,14 @@ def solve_doss_sussmann(
         raise ValueError("solve_doss_sussmann needs a DossSussmann base process")
     if not problem.kernel.is_homogeneous:
         raise RsgpScopeError("the flow representation needs a homogeneous kernel")
-    if isinstance(problem.potential, ConstantPotential):
-        c = problem.potential.c
-    elif isinstance(problem.potential, ZeroPotential):
-        c = 0.0
-    else:
+    if not isinstance(problem.potential, ConstantPotential):
         raise RsgpScopeError("the flow representation needs a constant potential")
+    c = problem.potential.c
     if c > 0:
         raise ValueError("the flow representation requires c <= 0")
-    sub = problem.process.subordination
-    if sub.kind not in ("identity", "stable_power"):
+    gamma = problem.process.subordination.stable_gamma
+    if gamma is None:
         raise RsgpScopeError("the flow representation needs stable-power subordination")
-    gamma = problem.gamma
     theta = problem.kernel.theta
     k = theta / gamma
     law = _time_change_law(problem)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -65,7 +64,6 @@ __all__ = [
     "VolterraPhi",
     "check_complete_monotone",
     "gaver_stehfest",
-    "phi_closed",
     "phi_on_grid",
     "time_law_cdf",
 ]
@@ -88,36 +86,6 @@ class InversionUnstable(RuntimeError):
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
-
-def phi_closed(kernel: MemoryKernel, t: float, lam: float) -> float:
-    """Closed-form Phi(t, lam) for the families that have one."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 1.0
-    if isinstance(kernel, GGBMKernel):
-        return mittag_leffler(kernel.beta, lam * t**kernel.alpha)
-    if isinstance(kernel, FractionalPowerKernel):
-        return mittag_leffler(kernel.beta, lam * t**kernel.beta)
-    if isinstance(kernel, MSMKernel):
-        a, b, mu, nu = kernel.a, kernel.b, kernel.mu, kernel.nu
-        q1, q2, q3 = b / a, nu / a + mu, 1.0 + (nu - a) / b
-        return math.gamma(q2) * prabhakar(MLParams(q1, q2, q3), lam * t**b)
-    if isinstance(kernel, ConvPowerSumKernel):
-        exps = (kernel.beta,) + kernel.betas
-        weights = (1.0,) + kernel.bs
-        p = MultinomialMLParams(exps, 1.0)
-        return multinomial_ml(p, [w * lam * t**e for e, w in zip(exps, weights)])
-    if isinstance(kernel, ConvMultinomialMLKernel):
-        beta = kernel.beta
-        exps = (beta,) + tuple(beta - bj for bj in kernel.betas)
-        p = MultinomialMLParams(exps, beta + 1.0)
-        args = [lam * t**beta] + [
-            -wj * t ** (beta - bj) for bj, wj in zip(kernel.betas, kernel.bs)
-        ]
-        return 1.0 + lam * t**beta * multinomial_ml(p, args)
-    raise NoClosedForm(f"kernel family {kernel.family!r} has no closed-form Phi")
-
 
 def has_closed_form(kernel: MemoryKernel) -> bool:
     return isinstance(
@@ -188,6 +156,9 @@ def _hp_unit_coefficients(kernel: MemoryKernel, n_needed: int) -> list:
     return cache
 
 
+_SERIES_ABS_TOL = 1e-12  # tail and truncation target of the memory series
+
+
 class SeriesPhi:
     """Truncated power-series evaluator of the memory function.
 
@@ -204,12 +175,10 @@ class SeriesPhi:
         horizon: float = 2.0,
         n_max: int = 120,
         use_homogeneous: bool | None = None,
-        abs_tol: float = 1e-12,
     ):
         self.kernel = kernel
         self.horizon = float(horizon)
         self.n_max = n_max
-        self.abs_tol = abs_tol
         if use_homogeneous is None:
             use_homogeneous = kernel.is_homogeneous and self._has_hp()
         if use_homogeneous and not (kernel.is_homogeneous and self._has_hp()):
@@ -242,7 +211,7 @@ class SeriesPhi:
                 else -math.inf
             )
             peak = max(peak, la)
-            if n > 8 and la < math.log(self.abs_tol) - 2:
+            if n > 8 and la < math.log(_SERIES_ABS_TOL) - 2:
                 n_stop = n
                 break
             n += 1
@@ -276,7 +245,7 @@ class SeriesPhi:
         tail = abs(terms[-1])
         value = math.fsum(terms)
         noise = 1e-13 * float(np.sum(np.abs(terms)))
-        if tail > self.abs_tol * max(1.0, abs(value)):
+        if tail > _SERIES_ABS_TOL * max(1.0, abs(value)):
             raise TruncationBudgetExceeded(
                 f"series tail {tail:.2e} above tolerance at n_max={self.n_max}; "
                 "raise n_max or use the closed form / Volterra solver"
@@ -413,7 +382,28 @@ class ClosedFormPhi:
         self.kernel = kernel
 
     def value(self, t: float, lam: float) -> float:
-        return phi_closed(self.kernel, t, lam)
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        if t == 0.0:
+            return 1.0
+        k = self.kernel
+        if isinstance(k, (GGBMKernel, FractionalPowerKernel)):
+            return mittag_leffler(k.beta, lam * t**k.theta)
+        if isinstance(k, MSMKernel):
+            a, b, mu, nu = k.a, k.b, k.mu, k.nu
+            q1, q2, q3 = b / a, nu / a + mu, 1.0 + (nu - a) / b
+            return math.gamma(q2) * prabhakar(MLParams(q1, q2, q3), lam * t**b)
+        if isinstance(k, ConvPowerSumKernel):
+            exps = (k.beta,) + k.betas
+            weights = (1.0,) + k.bs
+            p = MultinomialMLParams(exps, 1.0)
+            return multinomial_ml(p, [w * lam * t**e for e, w in zip(exps, weights)])
+        # ConvMultinomialMLKernel, the last family with a closed form
+        beta = k.beta
+        exps = (beta,) + tuple(beta - bj for bj in k.betas)
+        p = MultinomialMLParams(exps, beta + 1.0)
+        args = [lam * t**beta] + [-wj * t ** (beta - bj) for bj, wj in zip(k.betas, k.bs)]
+        return 1.0 + lam * t**beta * multinomial_ml(p, args)
 
     def values(self, t: float, lams) -> np.ndarray:
         """value over an array of lam: one Mittag-Leffler batch for ggbm and
@@ -443,11 +433,10 @@ class CMReport:
     passed: bool
     lam_grid: np.ndarray
     first_violation: tuple[int, int, float] | None  # (difference order, index, magnitude)
-    checked_orders: int = 3
 
     def __str__(self) -> str:
         if self.passed:
-            return f"completely monotone on the {len(self.lam_grid)}-point grid (orders 0..{self.checked_orders})"
+            return f"completely monotone on the {len(self.lam_grid)}-point grid (orders 0..3)"
         o, i, m = self.first_violation
         return (
             f"violation at difference order {o}, grid index {i}, "
@@ -484,10 +473,8 @@ def check_complete_monotone(
 # numerical Laplace inversion -> CDF of the time-change law
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _gs_weights(order: int) -> tuple[float, ...]:
-    if order % 2:
-        raise ValueError("Gaver-Stehfest order must be even")
+    """The Gaver-Stehfest weights V_1 .. V_order of an even order."""
     half = order // 2
     weights = []
     for k in range(1, order + 1):
@@ -507,12 +494,14 @@ def _gs_weights(order: int) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def gaver_stehfest(fhat, x: float, order: int = 14) -> float:
+_GS_WEIGHTS = _gs_weights(14)  # order 14: weights up to 1.7e8 leave ~8 of float64's digits
+
+
+def gaver_stehfest(fhat, x: float) -> float:
     """Inverse Laplace transform of fhat at x by the Gaver-Stehfest rule
-    (exact integer weights, compensated accumulation)."""
-    V = _gs_weights(order)
+    of order 14 (exact integer weights, compensated accumulation)."""
     ln2 = math.log(2.0)
-    return ln2 / x * math.fsum(V[k - 1] * fhat(k * ln2 / x) for k in range(1, order + 1))
+    return ln2 / x * math.fsum(v * fhat(k * ln2 / x) for k, v in enumerate(_GS_WEIGHTS, 1))
 
 
 @dataclass(frozen=True)
@@ -541,14 +530,13 @@ class TimeLawCDF:
 
 
 _OSCILLATION_TOL = 0.12  # largest drop or overshoot of the raw inverted CDF
+_PRECHECK_GRID = np.linspace(0.25, 8.0, 12)  # lambdas of the complete-monotonicity pre-check
 
 
 def time_law_cdf(
     evaluator,
     t: float,
     nodes,
-    order: int = 14,
-    precheck_grid=None,
 ) -> TimeLawCDF:
     """CDF of the time change A(t) by Gaver-Stehfest inversion of
     Phi(t, -lam)/lam, clamped to [0, 1] and monotonized.
@@ -561,13 +549,11 @@ def time_law_cdf(
     check.
     """
     nodes = np.asarray(nodes, dtype=float)
-    if precheck_grid is None:
-        precheck_grid = np.linspace(0.25, 8.0, 12)
-    pre = check_complete_monotone(evaluator, t, precheck_grid, tol=1e-6)
+    pre = check_complete_monotone(evaluator, t, _PRECHECK_GRID, tol=1e-6)
     if not pre.passed:
         raise InversionUnstable(f"Phi(t,-.) fails the CM pre-check: {pre}")
     raw = np.array(
-        [gaver_stehfest(lambda lam: evaluator.value(t, -lam) / lam, x, order) for x in nodes]
+        [gaver_stehfest(lambda lam: evaluator.value(t, -lam) / lam, x) for x in nodes]
     )
     drop = float(np.max(np.maximum(0.0, -np.diff(raw))))
     overshoot = float(max(np.max(raw) - 1.0, -np.min(raw), 0.0))

@@ -33,20 +33,24 @@ the same rule: ``rsgp_paths`` builds the randomly scaled Gaussian paths
 and ``fk.base_positions`` the base Markov paths.
 One-sided stable draws take one log-domain Kanter formula of numpy's
 vectorized tan, log and exp (``stable_onesided_from_uniforms``), which
-rounds alike for strided, contiguous and scalar input.
+rounds alike for strided, contiguous and scalar input.  A subordinator is
+given by its Bernstein function, the pair (drift, stable terms) of
+``BernsteinSpec``; the identity and the stable power are two of its values
+and take the same code.  The module imports no other subfrac module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.special import ndtri
 
-from .kernels import StretchFn
-from .phi import TimeLawCDF
+if TYPE_CHECKING:  # named in annotations only
+    from .kernels import StretchFn
+    from .phi import TimeLawCDF
 
 __all__ = [
     "A_stable_mixing_draws",
@@ -281,52 +285,50 @@ class BernsteinSpec:
 
         f(lam) = drift * lam + sum_j w_j lam^{e_j},  e_j in (0, 1).
 
-    ``identity`` is f(lam) = lam, ``stable_power`` is f(lam) = lam^gamma.
-    The killing coefficient of the general triplet is fixed to zero.
+    ``identity`` is f(lam) = lam, (1, ()); ``stable_power`` is
+    f(lam) = lam^gamma, (0, ((1, gamma),)).  The killing coefficient of the
+    general triplet is fixed to zero.
     """
 
-    kind: str  # identity | stable_power | drift_plus_stable_sum
-    gamma: float = 1.0
-    drift: float = 0.0
-    terms: tuple[tuple[float, float], ...] = ()  # (weight, exponent)
+    drift: float
+    terms: tuple[tuple[float, float], ...]  # (weight, exponent)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("identity", "stable_power", "drift_plus_stable_sum"):
-            raise ValueError(f"unknown Bernstein form {self.kind!r}")
-        if self.kind == "stable_power" and not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.kind == "drift_plus_stable_sum":
-            if self.drift < 0:
-                raise ValueError("drift must be nonnegative")
-            for w, e in self.terms:
-                if w <= 0 or not 0.0 < e < 1.0:
-                    raise ValueError("terms need weight > 0 and exponent in (0,1)")
+        if self.drift < 0:
+            raise ValueError("drift must be nonnegative")
+        for w, e in self.terms:
+            if w <= 0 or not 0.0 < e < 1.0:
+                raise ValueError("terms need weight > 0 and exponent in (0,1)")
 
     @classmethod
     def identity(cls) -> "BernsteinSpec":
-        return cls(kind="identity")
+        return cls(1.0, ())
 
     @classmethod
     def stable_power(cls, gamma: float) -> "BernsteinSpec":
+        if not 0.0 < gamma <= 1.0:
+            raise ValueError("gamma must lie in (0, 1]")
         if gamma == 1.0:
             return cls.identity()
-        return cls(kind="stable_power", gamma=gamma)
+        return cls(0.0, ((1.0, gamma),))
 
     @classmethod
     def drift_plus_stable_sum(cls, drift, terms) -> "BernsteinSpec":
-        return cls(kind="drift_plus_stable_sum", drift=drift, terms=tuple(terms))
+        return cls(drift, tuple(terms))
 
     @property
-    def is_identity(self) -> bool:
-        return self.kind == "identity"
+    def stable_gamma(self) -> float | None:
+        """gamma of f(lam) = lam^gamma (1 for the identity); None for any
+        other form."""
+        if self.drift == 1.0 and not self.terms:
+            return 1.0
+        if self.drift == 0.0 and len(self.terms) == 1 and self.terms[0][0] == 1.0:
+            return self.terms[0][1]
+        return None
 
     def value(self, lam):
         lam = np.asarray(lam, dtype=float)
-        if self.kind == "identity":
-            return lam
-        if self.kind == "stable_power":
-            return lam**self.gamma
-        acc = self.drift * lam
+        acc = self.drift * lam if self.drift else 0.0  # 0 * inf would be nan
         for w, e in self.terms:
             acc = acc + w * lam**e
         return acc
@@ -334,23 +336,18 @@ class BernsteinSpec:
     def increments_from_uniforms(self, u: np.ndarray, dt) -> np.ndarray:
         """Subordinator increments over times dt (a number, or an array that
         broadcasts against u's leading axes); u has shape
-        (..., 2 * n_stable_terms)."""
-        if self.kind == "identity":
-            return np.full(u.shape[:-1], dt, dtype=float)
-        if self.kind == "stable_power":
-            draw = stable_onesided_from_uniforms(u[..., 0], u[..., 1], self.gamma)
-            return dt ** (1.0 / self.gamma) * draw
-        acc = np.full(u.shape[:-1], self.drift * dt)
+        (..., 2 * n_stable_terms).  A driftless form starts from its first
+        stable term, not from an array of zeros."""
+        acc = None if self.drift == 0.0 and self.terms else np.full(u.shape[:-1], self.drift * dt)
         for j, (w, e) in enumerate(self.terms):
-            draw = stable_onesided_from_uniforms(
-                u[..., 2 * j], u[..., 2 * j + 1], e
-            )
-            acc = acc + (w * dt) ** (1.0 / e) * draw
+            draw = stable_onesided_from_uniforms(u[..., 2 * j], u[..., 2 * j + 1], e)
+            inc = (w * dt) ** (1.0 / e) * draw
+            acc = inc if acc is None else acc + inc
         return acc
 
     @property
     def n_stable_terms(self) -> int:
-        return {"identity": 0, "stable_power": 1}.get(self.kind, len(self.terms))
+        return len(self.terms)
 
 
 def subordinator_draws(
@@ -381,10 +378,9 @@ class InverseSubordinatorLaw:
 
     bernstein: BernsteinSpec
     steps_per_unit: int = 2**14
-    max_chunks: int = 64
 
     def __post_init__(self) -> None:
-        if self.bernstein.kind == "drift_plus_stable_sum" and not self.bernstein.terms:
+        if not self.bernstein.terms and self.bernstein.stable_gamma != 1.0:
             raise ValueError("inverse-subordinator law needs a simulable Bernstein form")
         if not self.steps_per_unit >= 1:
             raise ValueError(f"steps_per_unit must be >= 1, got {self.steps_per_unit}")
@@ -413,8 +409,6 @@ def _passage_scale(bern: BernsteinSpec, t: float) -> float:
     """Crude deterministic proxy for the passage time of level t."""
 
     def proxy(s: float) -> float:
-        if bern.kind == "stable_power":
-            return s ** (1.0 / bern.gamma)
         return bern.drift * s + sum((w * s) ** (1.0 / e) for w, e in bern.terms)
 
     hi = 1e-9
@@ -509,10 +503,10 @@ def inverse_passage_batch(
     master_seed: int,
     substream: int = SUB_SUBORDINATOR,
     steps_per_unit: int = 2**14,
-    max_chunks: int = 64,
     start: int = 0,
 ) -> np.ndarray:
-    """First-passage times of eta^f above level t for a batch of paths.
+    """First-passage times of eta^f above level t for a batch of paths,
+    within first_passage's default budget of 64 chunks.
 
     The grid step is fixed by the unit-level passage scale (not by t), so
     one path queried at several levels stays on the same trajectory and
@@ -522,12 +516,10 @@ def inverse_passage_batch(
         raise ValueError("t must be nonnegative")
     if not steps_per_unit >= 1:
         raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
-    if t == 0.0 or bern.is_identity:
+    if t == 0.0 or bern.stable_gamma == 1.0:
         return np.full(n_paths, float(t))
     dt = _passage_scale(bern, 1.0) / steps_per_unit
-    return first_passage(
-        bern, [t], n_paths, master_seed, dt, substream, max_chunks=max_chunks, start=start
-    )[:, 0]
+    return first_passage(bern, [t], n_paths, master_seed, dt, substream, start=start)[:, 0]
 
 
 def time_change_draws(
@@ -548,8 +540,7 @@ def time_change_draws(
         return np.asarray(law.sample_from_uniforms(t, u), dtype=float)
     if isinstance(law, InverseSubordinatorLaw):
         return inverse_passage_batch(
-            law.bernstein, t, n_paths, master_seed, substream, law.steps_per_unit,
-            law.max_chunks, start,
+            law.bernstein, t, n_paths, master_seed, substream, law.steps_per_unit, start
         )
     raise TypeError(f"unknown time-change law {type(law).__name__}")
 

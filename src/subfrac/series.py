@@ -6,7 +6,9 @@ direct summation somewhere.  The helpers here centralise the two failure
 modes of that approach: a tail that never drops below tolerance within the
 term budget, and alternating-series cancellation that silently destroys
 float64 accuracy.  Cancellation is *detected* here; callers decide whether
-to fall back to a high-precision or integral-representation branch.
+to fall back to a high-precision or integral-representation branch.  One
+absolute tolerance (_ABS_TOL) and one term budget (_MAX_TERMS) serve every
+series of the package.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 __all__ = [
-    "SeriesTolerance",
     "TruncationBudgetExceeded",
     "SeriesResult",
     "sum_series",
@@ -26,30 +27,17 @@ __all__ = [
 #: guards against series whose terms vanish exactly on a sub-lattice
 #: (e.g. reciprocal-gamma zeros every other index).
 _CONSECUTIVE_SMALL = 8
+#: absolute size below which a term counts as small
+_ABS_TOL = 1e-14
+#: terms summed before a series is given up
+_MAX_TERMS = 100_000
 
 
 class TruncationBudgetExceeded(RuntimeError):
-    """Series did not converge within ``max_terms``.
+    """Series did not converge within _MAX_TERMS terms.
 
-    Signals the caller to reduce the argument range or raise the budget.
+    Signals the caller to reduce the argument range.
     """
-
-
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Absolute truncation target and term budget for series summation."""
-
-    abs_tol: float = 1e-14
-    max_terms: int = 100_000
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_TOL = SeriesTolerance()
 
 
 @dataclass(frozen=True)
@@ -64,33 +52,33 @@ class SeriesResult:
         return self.max_abs_term * 2.3e-16 * max(1.0, math.sqrt(self.n_terms))
 
 
-def sum_series(term_fn, tol: SeriesTolerance = DEFAULT_TOL) -> SeriesResult:
+def sum_series(term_fn) -> SeriesResult:
     """Sum ``term_fn(n)`` for n = 0, 1, ... until the tail is negligible.
 
     Terms are accumulated with exact float summation (math.fsum) so the
     only rounding left is the one inside each term.  Convergence requires
-    several consecutive terms below ``abs_tol`` *after* the running
+    several consecutive terms below _ABS_TOL *after* the running
     maximum has been passed, which is the right notion for the
     single-peaked hypergeometric-type series used here.
     """
     terms = []
     max_abs = 0.0
     small_run = 0
-    for n in range(tol.max_terms):
+    for n in range(_MAX_TERMS):
         t = term_fn(n)
         terms.append(t)
         a = abs(t)
         if a > max_abs:
             max_abs = a
             small_run = 0
-        if a < tol.abs_tol:
+        if a < _ABS_TOL:
             small_run += 1
             if small_run >= _CONSECUTIVE_SMALL:
                 return SeriesResult(math.fsum(terms), n + 1, max_abs)
         else:
             small_run = 0
     raise TruncationBudgetExceeded(
-        f"series tail still above {tol.abs_tol:g} after {tol.max_terms} terms "
+        f"series tail still above {_ABS_TOL:g} after {_MAX_TERMS} terms "
         f"(max |term| seen {max_abs:g})"
     )
 

@@ -9,9 +9,10 @@ evaluation ladder:
   the largest term and so the digits a float64 sum would lose,
 * one float64 sum, its terms formed in blocks from their logs, serves
   while its estimated cancellation floor stays within tolerance (one
-  acceptance rule: 1e-13 relative, 1e-11 for the multinomial sum; the
-  series are entire, single-peaked and alternate for the negative
-  arguments that occur in practice),
+  acceptance rule: the larger of the package's absolute series tolerance
+  1e-14 and 1e-13 relative, 1e-11 for the multinomial sum; the series are
+  entire, single-peaked and alternate for the negative arguments that
+  occur in practice; every sum shares the 100,000-term budget),
 * past that, a completely-monotone integral representation (one-parameter
   case), evaluated by a fixed-node trapezoid rule that serves a whole
   array of arguments in one pass, or one adaptive-precision mpmath sum
@@ -41,7 +42,7 @@ from mpmath.libmp import (
 )
 from scipy.special import gammaln, gammasgn, rgamma
 
-from .series import DEFAULT_TOL, SeriesResult, SeriesTolerance, TruncationBudgetExceeded, lru_get, sum_series
+from .series import _ABS_TOL, _MAX_TERMS, SeriesResult, TruncationBudgetExceeded, lru_get, sum_series
 
 __all__ = [
     "MLParams",
@@ -160,7 +161,7 @@ def _peak_log10(g: np.ndarray, la: np.ndarray) -> float:
     return (float(la.max()) if la.size else -math.inf) / math.log(10.0)
 
 
-def _float_series(logs, alternate: bool, tol: SeriesTolerance) -> SeriesResult:
+def _float_series(logs, alternate: bool) -> SeriesResult:
     """The float64 series with terms sign * exp(log|term|), formed
     _TERM_BLOCK terms per array pass; the sign is that of 1/Gamma(g),
     flipped at odd n when the series alternates."""
@@ -183,12 +184,12 @@ def _float_series(logs, alternate: bool, tol: SeriesTolerance) -> SeriesResult:
                 ) from None
         return terms[n]
 
-    return sum_series(term, tol)
+    return sum_series(term)
 
 
-def _accurate(res: SeriesResult, tol: SeriesTolerance, rel: float = 1e-13) -> bool:
+def _accurate(res: SeriesResult, rel: float = 1e-13) -> bool:
     """Whether a float sum's cancellation floor is within tolerance."""
-    return res.cancellation_error <= max(tol.abs_tol, rel * abs(res.value))
+    return res.cancellation_error <= max(_ABS_TOL, rel * abs(res.value))
 
 
 def _mp_series(key: tuple, gamma_arg, step, dps: int) -> float:
@@ -282,7 +283,7 @@ def _ml_neg_integral(beta: float, a) -> np.ndarray:
     return out
 
 
-def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def mittag_leffler(beta: float, x: float) -> float:
     """One-parameter Mittag-Leffler function  sum_n x^n / Gamma(beta n + 1).
 
     beta must lie in (0, 1].  Intended argument range is moderate
@@ -305,11 +306,11 @@ def mittag_leffler(beta: float, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
             raise OverflowError(f"E_1({x:.6g}) = e^{x:.6g} is past the float range") from None
     logs = _ml_logs(beta, x)
     if x > 0.0:
-        return _float_series(logs, False, tol).value
+        return _float_series(logs, False).value
     # at x = -inf no log is finite; the integral rule gives the limit 0
     if x > -math.inf and _peak_log10(*logs(_PEAK_N)) <= 12.5:
-        res = _float_series(logs, True, tol)
-        if _accurate(res, tol):
+        res = _float_series(logs, True)
+        if _accurate(res):
             return res.value
     return float(_ml_neg_integral(beta, [-x])[0])
 
@@ -343,7 +344,7 @@ def _prabhakar_peak_log10(p: MLParams, x: float) -> float:
     return _peak_log10(*_prabhakar_logs(p, x)(_PRABHAKAR_PEAK_N))
 
 
-def _prabhakar_series(p: MLParams, x: float, tol: SeriesTolerance) -> SeriesResult:
+def _prabhakar_series(p: MLParams, x: float) -> SeriesResult:
     """The float series at x != 0; with q3 > 0 from the terms' logs."""
     if p.q3 <= 0:
         # direct Pochhammer recurrence; fine for the short series this
@@ -356,8 +357,8 @@ def _prabhakar_series(p: MLParams, x: float, tol: SeriesTolerance) -> SeriesResu
                 poch *= (p.q3 + n - 1) / n
             return poch * x**n * rgamma(p.q1 * n + p.q2)
 
-        return sum_series(term, tol)
-    return _float_series(_prabhakar_logs(p, x), x < 0.0, tol)
+        return sum_series(term)
+    return _float_series(_prabhakar_logs(p, x), x < 0.0)
 
 
 def _prabhakar_mp(p: MLParams, x: float, dps: int) -> float:
@@ -408,7 +409,7 @@ def _prabhakar_asymptotic(p: MLParams, x: float) -> float:
     return math.fsum(acc)
 
 
-def prabhakar(p: MLParams, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def prabhakar(p: MLParams, x: float) -> float:
     """Three-parameter Mittag-Leffler sum  (q3)_n x^n / (Gamma(q1 n + q2) n!)."""
     if math.isnan(x):
         raise ValueError("x must be a number, got nan")
@@ -423,8 +424,8 @@ def prabhakar(p: MLParams, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> floa
             if dps <= _DPS_CAP:
                 return _prabhakar_mp(p, x, dps)
             return _prabhakar_asymptotic(p, x)
-    res = _prabhakar_series(p, x, tol)
-    if x < 0.0 and not _accurate(res, tol):
+    res = _prabhakar_series(p, x)
+    if x < 0.0 and not _accurate(res):
         dps = int(_prabhakar_peak_log10(p, x)) + 25
         return _prabhakar_mp(p, x, min(dps, _DPS_CAP))
     return res.value
@@ -470,9 +471,7 @@ def _multinomial_order_sum(p: MultinomialMLParams, z: Sequence[float], n: int) -
     return math.fsum(total)
 
 
-def multinomial_ml(
-    p: MultinomialMLParams, z: Sequence[float], tol: SeriesTolerance = DEFAULT_TOL
-) -> float:
+def multinomial_ml(p: MultinomialMLParams, z: Sequence[float]) -> float:
     """Multinomial Mittag-Leffler function
 
         sum_n sum_{k_1+..+k_m=n} n!/(k_1!..k_m!) *
@@ -493,8 +492,8 @@ def multinomial_ml(
     def order_term(n: int) -> float:
         return _multinomial_order_sum(p, z, n)
 
-    res = sum_series(order_term, tol)
-    if not _accurate(res, tol, 1e-11):
+    res = sum_series(order_term)
+    if not _accurate(res, 1e-11):
         return _multinomial_mp(p, z, int(math.log10(max(res.max_abs_term, 1.0))) + 25)
     return res.value
 
@@ -579,7 +578,7 @@ def _mwright_asymptotic(beta: float, z: float) -> float:
     return a * z ** ((beta - 0.5) / (1 - beta)) * math.exp(expo)
 
 
-def mwright_density(beta: float, z: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def mwright_density(beta: float, z: float) -> float:
     """Mainardi-Wright probability density  sum_n (-z)^n / (n! Gamma(-beta n + 1 - beta)).
 
     Nonnegative on z >= 0 for beta in (0, 1); integrates to one.
@@ -596,8 +595,8 @@ def mwright_density(beta: float, z: float, tol: SeriesTolerance = DEFAULT_TOL) -
         return rgamma(1.0 - beta)
     peak = _mwright_peak_log10(beta, z)
     if peak <= 13.0:
-        res = _float_series(_mwright_logs(beta, z), True, tol)
-        if _accurate(res, tol):
+        res = _float_series(_mwright_logs(beta, z), True)
+        if _accurate(res):
             return max(res.value, 0.0)
     dps = int(peak) + 25
     if dps <= _DPS_CAP:
@@ -627,7 +626,6 @@ def appell_f3(
     c: float,
     x: float,
     y: float,
-    tol: SeriesTolerance = DEFAULT_TOL,
 ) -> float:
     """Appell F3 double hypergeometric sum
 
@@ -664,17 +662,17 @@ def appell_f3(
             n += 1
             row.append(t)
             n_terms += 1
-            if abs(t) < tol.abs_tol:
+            if abs(t) < _ABS_TOL:
                 small += 1
                 if small >= 4:
                     break
             else:
                 small = 0
-            if n_terms > tol.max_terms:
-                raise TruncationBudgetExceeded(f"F3 double sum exceeded {tol.max_terms} terms")
+            if n_terms > _MAX_TERMS:
+                raise TruncationBudgetExceeded(f"F3 double sum exceeded {_MAX_TERMS} terms")
         row_sum = math.fsum(row)
         total.append(row_sum)
-        if abs(row_sum) < tol.abs_tol and abs(row_head) < tol.abs_tol:
+        if abs(row_sum) < _ABS_TOL and abs(row_head) < _ABS_TOL:
             small_rows += 1
             if small_rows >= 4:
                 break
@@ -682,6 +680,6 @@ def appell_f3(
             small_rows = 0
         row_head = row_head * (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x
         m += 1
-        if n_terms > tol.max_terms:
-            raise TruncationBudgetExceeded(f"F3 double sum exceeded {tol.max_terms} terms")
+        if n_terms > _MAX_TERMS:
+            raise TruncationBudgetExceeded(f"F3 double sum exceeded {_MAX_TERMS} terms")
     return math.fsum(total)

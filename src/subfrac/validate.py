@@ -46,7 +46,6 @@ from .phi import (
     SeriesPhi,
     VolterraPhi,
     check_complete_monotone,
-    phi_closed,
 )
 from .sampling import (
     BernsteinSpec,
@@ -139,10 +138,11 @@ def criterion_phi_three_way(budget: Budget) -> CriterionResult:
     worst_sc = worst_vc = 0.0
     for kernel in (GGBM_STD, MSM_STD):
         sp = SeriesPhi(kernel)
+        closed = ClosedFormPhi(kernel)
         vol = VolterraPhi(kernel, horizon=1.0, n_steps=2048)
         for t in np.linspace(0.1, 1.0, 10):
             for lam in np.linspace(0.0, 5.0, 11):
-                c = phi_closed(kernel, t, -lam)
+                c = closed.value(t, -lam)
                 worst_sc = max(worst_sc, abs(sp.value(t, -lam) - c))
                 worst_vc = max(worst_vc, abs(vol.value(t, -lam) - c))
     runtime = time.time() - t0

@@ -82,6 +82,24 @@ class TestPhiCommand:
         assert len(rows) == 9
         assert all(float(r["max_discrepancy"]) < 1e-5 for r in rows)
 
+    def test_failed_route_leaves_its_cell_empty(self, tmp_path, capsys):
+        # the series route (fixed n_max = 120) leaves a tail of 1.35e-7 at
+        # t = 1, lambda = 2, where the closed form and Volterra routes serve
+        out = tmp_path / "phi.csv"
+        rc = main(["phi", "--kernel", "conv_power_sum:0.5,0.3,0.5", "--t", "0:1:3",
+                   "--lambda", "0:2:3", "--grid-steps", "256", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("series route failed at t=1, lambda=2: series tail")
+        rows = read_rows(out)
+        assert len(rows) == 9
+        assert [(r["t"], r["lambda"]) for r in rows if r["phi_series"] == ""] == [("1", "2")]
+        assert all(r["phi_closed"] and r["phi_volterra"] for r in rows)
+        # the discrepancy of that row compares the two routes that served
+        last = rows[-1]
+        assert float(last["max_discrepancy"]) == abs(float(last["phi_volterra"]) - float(last["phi_closed"]))
+        assert all(float(r["max_discrepancy"]) < 1e-5 for r in rows)
+
     def test_tight_tolerance_exit_3(self, tmp_path):
         rc = main(
             [

@@ -130,7 +130,7 @@ class TestDispatchAndInvariants:
         # law is built by Laplace inversion and must reproduce the
         # closed-form transform of the memory function
         from subfrac.kernels import MSMKernel
-        from subfrac.phi import phi_closed
+        from subfrac.phi import ClosedFormPhi
 
         k = MSMKernel(a=2.0, b=1.0, mu=0.5, nu=2.0)
         law = derive_time_change_law(k, [1.0])
@@ -138,7 +138,7 @@ class TestDispatchAndInvariants:
         for lam in (0.5, 1.0, 2.0):
             w = np.exp(-lam * draws)
             se = np.std(w, ddof=1) / math.sqrt(len(w))
-            target = phi_closed(k, 1.0, -lam)
+            target = ClosedFormPhi(k).value(1.0, -lam)
             assert abs(np.mean(w) - target) < 4.0 * se + 2e-3  # inversion bias
         # homogeneous product structure is exact pathwise
         d1 = time_change_draws(law, 1.0, 77, 500)
@@ -150,7 +150,7 @@ class TestDispatchAndInvariants:
         # a pole of Gamma; the Laplace inversion of the law amplifies any
         # error of that branch
         from subfrac.kernels import MSMKernel
-        from subfrac.phi import phi_closed
+        from subfrac.phi import ClosedFormPhi
 
         k = MSMKernel(a=1.52, b=0.99, mu=0.3, nu=1.52)
         law = derive_time_change_law(k, [1.0])
@@ -158,7 +158,7 @@ class TestDispatchAndInvariants:
         for lam in (0.5, 1.0, 2.0):
             w = np.exp(-lam * draws)
             se = np.std(w, ddof=1) / math.sqrt(len(w))
-            assert abs(np.mean(w) - phi_closed(k, 1.0, -lam)) < 4.0 * se + 2e-3
+            assert abs(np.mean(w) - ClosedFormPhi(k).value(1.0, -lam)) < 4.0 * se + 2e-3
 
 
 class TestRepresentations:

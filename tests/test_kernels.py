@@ -208,8 +208,8 @@ class TestCoefficients:
 
 class TestBoundedCaches:
     """The coefficient-table and moment-recursion caches keep the most
-    recently used CACHE_SIZE kernels, so a long-running process does not
-    grow without bound."""
+    recently used _COEFF_CACHE_SIZE and CACHE_SIZE kernels, so a
+    long-running process does not grow without bound."""
 
     KERNELS = [FractionalPowerKernel(0.3 + 0.01 * i) for i in range(40)]
 
@@ -225,7 +225,7 @@ class TestBoundedCaches:
     def test_coefficient_tables(self):
         for k in self.KERNELS:
             coefficient_tables(k, 1.0, 2, grid_size=16, quad_nodes=8)
-        assert len(kernels_module._COEFF_CACHE) <= CACHE_SIZE
+        assert len(kernels_module._COEFF_CACHE) == kernels_module._COEFF_CACHE_SIZE
         last = coefficient_tables(self.KERNELS[-1], 1.0, 2, grid_size=16, quad_nodes=8)
         assert coefficient_tables(self.KERNELS[-1], 1.0, 2, grid_size=16, quad_nodes=8) is last
 

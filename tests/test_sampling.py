@@ -350,11 +350,9 @@ class TestFirstPassage:
 
     def test_grid_too_coarse_message(self):
         with pytest.raises(
-            GridTooCoarse, match=r"^no passage above t=1 within 2 chunks of 8192 steps \(dt="
+            GridTooCoarse, match=r"^no passage above t=1 within 64 chunks of 8192 steps \(dt="
         ):
-            inverse_passage_batch(
-                BernsteinSpec.stable_power(0.5), 1.0, 3, SEED, steps_per_unit=2**30, max_chunks=2
-            )
+            inverse_passage_batch(BernsteinSpec.stable_power(0.5), 1.0, 3, SEED, steps_per_unit=2**30)
 
     def test_bad_levels_rejected(self):
         bern = BernsteinSpec.stable_power(0.5)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import erfc, gammaln, gammasgn, hyp2f1
 
-from subfrac import specfun
-from subfrac.series import DEFAULT_TOL, SeriesTolerance, TruncationBudgetExceeded, sum_series
+from subfrac import series, specfun
+from subfrac.series import TruncationBudgetExceeded, sum_series
 from subfrac.specfun import (
     _ML_BLOCK,
     MLParams,
@@ -81,10 +81,11 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(1.2, -1.0)
 
-    def test_truncation_budget(self):
-        with pytest.raises(TruncationBudgetExceeded):
+    def test_truncation_budget(self, monkeypatch):
+        monkeypatch.setattr(series, "_MAX_TERMS", 5)
+        with pytest.raises(TruncationBudgetExceeded, match="after 5 terms"):
             # positive argument forces the raw series; 5 terms cannot do it
-            mittag_leffler(0.9, 8.0, tol=SeriesTolerance(1e-14, 5))
+            mittag_leffler(0.9, 8.0)
 
 
 class TestPrabhakar:
@@ -245,14 +246,6 @@ class TestAppellF3:
     def test_bad_c(self):
         with pytest.raises(ValueError):
             appell_f3(0.5, 0.5, 1, 1, -2.0, 0.3, 0.2)
-
-
-class TestSeriesTolerance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesTolerance(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesTolerance(max_terms=0)
 
 
 def quad_ml_neg(beta, a):
@@ -555,7 +548,7 @@ def prabhakar_series_loop(p, x):
         la = gammaln(p.q3 + n) - gammaln(p.q3) - gammaln(n + 1.0) + n * la_x - float(gammaln(g))
         return (sg_x**n) * float(gammasgn(g)) * math.exp(la)
 
-    return sum_series(term, DEFAULT_TOL)
+    return sum_series(term)
 
 
 class TestPrabhakarSeriesBlocks:
@@ -570,9 +563,9 @@ class TestPrabhakarSeriesBlocks:
             ref = prabhakar_series_loop(p, x)
         except (OverflowError, TruncationBudgetExceeded) as exc:
             with pytest.raises(type(exc)):
-                _prabhakar_series(p, x, DEFAULT_TOL)
+                _prabhakar_series(p, x)
             return
-        got = _prabhakar_series(p, x, DEFAULT_TOL)
+        got = _prabhakar_series(p, x)
         assert (got.value, got.n_terms, got.max_abs_term) == (ref.value, ref.n_terms, ref.max_abs_term)
 
 
@@ -667,14 +660,14 @@ def mwright_peak_log10_loop(beta, z):
     return best / math.log(10.0)
 
 
-def ml_series_loop(beta, x, tol):
+def ml_series_loop(beta, x):
     """The float Mittag-Leffler series one term at a time."""
     lx = math.log(abs(x))
     sg = 1.0 if x > 0 else -1.0
-    return sum_series(lambda n: sg**n * math.exp(n * lx - gammaln(beta * n + 1.0)), tol)
+    return sum_series(lambda n: sg**n * math.exp(n * lx - gammaln(beta * n + 1.0)))
 
 
-def mwright_series_loop(beta, z, tol):
+def mwright_series_loop(beta, z):
     """The float Wright series one term at a time."""
     lz = math.log(z)
 
@@ -686,7 +679,7 @@ def mwright_series_loop(beta, z, tol):
         la = n * lz - gammaln(n + 1.0) + lg
         return (-1.0) ** n * sg_g * math.exp(la)
 
-    return sum_series(term, tol)
+    return sum_series(term)
 
 
 def assert_same_sum(got_fn, ref_fn):
@@ -728,8 +721,8 @@ class TestSharedSeriesEqualTheLoops:
     def test_ml_series(self, beta, x):
         assume(x != 0.0)
         logs = specfun._ml_logs(beta, x)
-        assert_same_sum(lambda: specfun._float_series(logs, x < 0.0, DEFAULT_TOL),
-                        lambda: ml_series_loop(beta, x, DEFAULT_TOL))
+        assert_same_sum(lambda: specfun._float_series(logs, x < 0.0),
+                        lambda: ml_series_loop(beta, x))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(beta=st.floats(0.05, 0.95), z=st.floats(1e-3, 12.0))
@@ -738,5 +731,5 @@ class TestSharedSeriesEqualTheLoops:
     @example(beta=0.75, z=2.0)
     def test_mwright_series(self, beta, z):
         logs = specfun._mwright_logs(beta, z)
-        assert_same_sum(lambda: specfun._float_series(logs, True, DEFAULT_TOL),
-                        lambda: mwright_series_loop(beta, z, DEFAULT_TOL))
+        assert_same_sum(lambda: specfun._float_series(logs, True),
+                        lambda: mwright_series_loop(beta, z))
