@@ -46,7 +46,6 @@ from .kernels import (
     MSMKernel,
     StretchFn,
     TimeStretchedKernel,
-    kernel_eval,
     make_kernel,
     phi_coefficients,
     verify_assumption_k,

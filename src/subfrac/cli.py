@@ -49,7 +49,6 @@ from .phi import (
 )
 from .sampling import (
     BernsteinSpec,
-    GridTooCoarse,
     InvalidHurst,
     A_stable_mixing_draws,
     PathGrid,
@@ -81,7 +80,6 @@ _NUMERICAL_ERRORS = (
     NonconvergentRefinement,
     InversionUnstable,
     NormDivergent,
-    GridTooCoarse,
     NoClosedForm,
     StepCountInsufficient,
     OverflowError,

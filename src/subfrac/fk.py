@@ -28,6 +28,7 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,14 +36,14 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from .kernels import MemoryKernel, StretchFn, TimeStretchedKernel
-from .phi import ClosedFormPhi, SeriesPhi, VolterraPhi, has_closed_form, time_law_cdf
+from .phi import (ClosedFormPhi, SeriesPhi, VolterraPhi, has_closed_form,
+                  inverse_subordinator_cdf, time_law_cdf)
 from .sampling import (
     SUB_GAUSSIAN,
     SUB_MIXING,
     SUB_SUBORDINATOR,
     BernsteinSpec,
     HomogeneousProductLaw,
-    InverseSubordinatorLaw,
     NumericCDFLaw,
     PathGrid,
     StretchedLaw,
@@ -282,9 +283,12 @@ def derive_time_change_law(kernel: MemoryKernel, eval_times: Sequence[float]):
     Homogeneous kernels use the product form A * t^theta; the amplitude is
     the stable mixing variable when the memory function is a one-parameter
     Mittag-Leffler function, otherwise a numeric inverse-CDF table from
-    Laplace inversion of Phi(1, -.).  Convolution kernels whose Bernstein
-    exponent is a drift-plus-stable sum get the first-passage sampler;
-    reciprocal forms fall back to numeric CDF tables per evaluation time.
+    Laplace inversion of Phi(1, -.).  A convolution kernel with k^ = 1/h
+    has A(t) = E_t, the inverse subordinator of h, drawn from its exact CDF
+    (``phi.inverse_subordinator_cdf``); other kernels get Gaver-Stehfest CDF
+    tables.  Both tabulate per evaluation time, so a path's draws at several
+    t are the quantile coupling of the one-time laws: all that the
+    Feynman-Kac formulae use.
     """
     from .kernels import ConvMultinomialMLKernel, FractionalPowerKernel, GGBMKernel
 
@@ -295,12 +299,10 @@ def derive_time_change_law(kernel: MemoryKernel, eval_times: Sequence[float]):
             mixing_from_uniforms=lambda u1, u2: mixing_from_uniforms(u1, u2, beta),
         )
     if isinstance(kernel, ConvMultinomialMLKernel) and kernel.betas:
-        terms = ((1.0, kernel.beta),) + tuple(zip(kernel.bs, kernel.betas))
-        terms = tuple((w, e) for w, e in terms if e < 1.0)
-        drift = sum(w for w, e in ((1.0, kernel.beta),) + tuple(zip(kernel.bs, kernel.betas)) if e >= 1.0)
-        return InverseSubordinatorLaw(
-            BernsteinSpec.drift_plus_stable_sum(drift, terms)
-        )
+        pairs = ((1.0, kernel.beta),) + tuple(zip(kernel.bs, kernel.betas))
+        bern = BernsteinSpec(sum(w for w, e in pairs if e >= 1.0),
+                             tuple((w, e) for w, e in pairs if e < 1.0))
+        return NumericCDFLaw(cdf_for_t=partial(inverse_subordinator_cdf, bern))
     if kernel.is_homogeneous:
         evaluator = ClosedFormPhi(kernel) if has_closed_form(kernel) else None
         if evaluator is None:

@@ -55,7 +55,6 @@ __all__ = [
     "StretchFn",
     "TimeStretchedKernel",
     "CoefficientTables",
-    "kernel_eval",
     "make_kernel",
     "phi_coefficients",
     "verify_assumption_k",
@@ -505,17 +504,6 @@ def make_kernel(spec: dict) -> MemoryKernel:
     except KeyError as exc:
         raise InvalidParameters(f"kernel family {fam!r} missing parameter {exc}") from None
     return cls(**params, **{name: tuple(spec.get(name, ())) for name in pairs})
-
-
-def kernel_eval(kernel: MemoryKernel, t: float, s: float):
-    """k(t, s) for 0 < s < t, rejecting the singular endpoints."""
-    s_arr = np.asarray(s, dtype=float)
-    if not t > 0:
-        raise SingularPoint("t must be positive")
-    if np.any(s_arr <= 0.0) or np.any(s_arr >= t):
-        raise SingularPoint("kernel evaluation requires 0 < s < t")
-    out = kernel.eval(t, s_arr)
-    return float(out) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -270,15 +270,11 @@ class DoubleLaplaceReport:
 
 _DL_TIME_NODES = 96  # Gauss-Legendre nodes in time
 _DL_TAIL_BOUND = 1e-6  # e^{-sigma t} at the time truncation
+_DL_STEPS_PER_UNIT = 2**10  # first-passage steps per passage scale of level t_max
 
 
 def double_laplace_identity(
-    h: BernsteinSpec,
-    sigma: float,
-    lam: float,
-    mc_paths: int,
-    master_seed: int = 1,
-    steps_per_unit: int = 2**10,
+    h: BernsteinSpec, sigma: float, lam: float, mc_paths: int, master_seed: int = 1
 ) -> DoubleLaplaceReport:
     """Check  int_0^inf e^{-sigma t} E[e^{-lam E_t}] dt = h(sigma) /
     (sigma (h(sigma) + lam))  by simulating first-passage paths of the
@@ -298,7 +294,7 @@ def double_laplace_identity(
         return DoubleLaplaceReport(lhs, rhs, (lhs - rhs) / rhs)
     if mc_paths < 1:
         raise ValueError("mc_paths must be >= 1 for a non-identity exponent")
-    dt = _passage_scale(h, t_max) / steps_per_unit
+    dt = _passage_scale(h, t_max) / _DL_STEPS_PER_UNIT
     try:
         passages = first_passage(h, t_nodes, mc_paths, master_seed, dt, chunk=4096, max_chunks=16)
     except GridTooCoarse:

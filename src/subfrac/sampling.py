@@ -15,10 +15,10 @@ One stream is evaluated two ways, with the same bits:
   so it computes the blocks of all paths in one vectorized numpy pass
   instead of building a generator per path.
 * ``path_rng`` wraps the stream in ``np.random.Philox`` and serves only
-  ``first_passage``, where a path draws an open-ended stream block by
-  block.  On long rows numpy's C generator is several times faster than
-  the numpy engine, and there generator set-up is a small share of the
-  work.
+  ``first_passage``, the simulated side of the double-Laplace oracle,
+  where a path draws an open-ended stream block by block.  On long rows
+  numpy's C generator is several times faster than the numpy engine, and
+  there generator set-up is a small share of the work.
 
 Batch generation consumes a fixed number of uniforms per path and maps
 them through inverse CDFs (scipy.special.ndtri for normals).  Each random
@@ -30,7 +30,9 @@ range: the time change A(t) (``time_change_draws``), the stable amplitude
 it, and one path is the call at ``n_paths=1, start=stream_id``, so they
 agree bit for bit for the same seed, substream and path.  Paths follow
 the same rule: ``rsgp_paths`` builds the randomly scaled Gaussian paths
-and ``fk.base_positions`` the base Markov paths.
+and ``fk.base_positions`` the base Markov paths.  A time-change law is
+the product form A * t^theta, a CDF table per time (Gaver-Stehfest, or the
+exact inverse-subordinator CDF) or a time stretch of either.
 One-sided stable draws take one log-domain Kanter formula of numpy's
 vectorized tan, log and exp (``stable_onesided_from_uniforms``), which
 rounds alike for strided, contiguous and scalar input.  A subordinator is
@@ -61,13 +63,11 @@ __all__ = [
     "GridTooCoarse",
     "HomogeneousProductLaw",
     "InvalidHurst",
-    "InverseSubordinatorLaw",
     "NumericCDFLaw",
     "PathGrid",
     "StretchedLaw",
     "fbm_paths_batch",
     "first_passage",
-    "inverse_passage_batch",
     "mixing_from_uniforms",
     "path_rng",
     "path_uniforms",
@@ -327,7 +327,7 @@ class BernsteinSpec:
         return None
 
     def value(self, lam):
-        lam = np.asarray(lam, dtype=float)
+        lam = np.asarray(lam, dtype=np.result_type(lam, float))  # real or complex
         acc = self.drift * lam if self.drift else 0.0  # 0 * inf would be nan
         for w, e in self.terms:
             acc = acc + w * lam**e
@@ -373,22 +373,10 @@ class HomogeneousProductLaw:
 
 
 @dataclass(frozen=True)
-class InverseSubordinatorLaw:
-    """A(t) = first passage of the Bernstein subordinator above level t."""
-
-    bernstein: BernsteinSpec
-    steps_per_unit: int = 2**14
-
-    def __post_init__(self) -> None:
-        if not self.bernstein.terms and self.bernstein.stable_gamma != 1.0:
-            raise ValueError("inverse-subordinator law needs a simulable Bernstein form")
-        if not self.steps_per_unit >= 1:
-            raise ValueError(f"steps_per_unit must be >= 1, got {self.steps_per_unit}")
-
-
-@dataclass(frozen=True)
 class NumericCDFLaw:
-    """A(t) sampled by inverting a tabulated CDF per evaluation time."""
+    """A(t) sampled by inverting a tabulated CDF per evaluation time.  Draws
+    of one path at several t are the quantile coupling of the one-time laws,
+    nondecreasing in t when A(t) increases stochastically, as E_t does."""
 
     cdf_for_t: Callable[[float], TimeLawCDF]
 
@@ -418,15 +406,8 @@ def _passage_scale(bern: BernsteinSpec, t: float) -> float:
 
 
 def first_passage(
-    bern: BernsteinSpec,
-    levels,
-    n_paths: int,
-    master_seed: int,
-    dt: float,
-    substream: int = SUB_SUBORDINATOR,
-    chunk: int = 8192,
-    max_chunks: int = 64,
-    start: int = 0,
+    bern: BernsteinSpec, levels, n_paths: int, master_seed: int, dt: float,
+    substream: int = SUB_SUBORDINATOR, chunk: int = 8192, max_chunks: int = 64, start: int = 0,
 ) -> np.ndarray:
     """(n_paths, len(levels)) first-passage times of eta^f above each of the
     ascending ``levels``, with linear bracketing inside the crossing step.
@@ -496,32 +477,6 @@ def first_passage(
             )
 
 
-def inverse_passage_batch(
-    bern: BernsteinSpec,
-    t: float,
-    n_paths: int,
-    master_seed: int,
-    substream: int = SUB_SUBORDINATOR,
-    steps_per_unit: int = 2**14,
-    start: int = 0,
-) -> np.ndarray:
-    """First-passage times of eta^f above level t for a batch of paths,
-    within first_passage's default budget of 64 chunks.
-
-    The grid step is fixed by the unit-level passage scale (not by t), so
-    one path queried at several levels stays on the same trajectory and
-    the passage times are nondecreasing in t.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if not steps_per_unit >= 1:
-        raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
-    if t == 0.0 or bern.stable_gamma == 1.0:
-        return np.full(n_paths, float(t))
-    dt = _passage_scale(bern, 1.0) / steps_per_unit
-    return first_passage(bern, [t], n_paths, master_seed, dt, substream, start=start)[:, 0]
-
-
 def time_change_draws(
     law, t: float, master_seed: int, n_paths: int, start: int = 0,
     substream: int = SUB_MIXING,
@@ -538,10 +493,6 @@ def time_change_draws(
     if isinstance(law, (HomogeneousProductLaw, NumericCDFLaw)):
         u = path_uniforms(master_seed, substream, n_paths, 2, start)
         return np.asarray(law.sample_from_uniforms(t, u), dtype=float)
-    if isinstance(law, InverseSubordinatorLaw):
-        return inverse_passage_batch(
-            law.bernstein, t, n_paths, master_seed, substream, law.steps_per_unit, start
-        )
     raise TypeError(f"unknown time-change law {type(law).__name__}")
 
 

@@ -260,7 +260,7 @@ class TestOtherCommands:
     def test_sample_time_change_inverse_subordinator(self, tmp_path):
         spec = {"family": "conv_multinomial_ml", "beta": 0.7, "betas": [0.3], "bs": [1.0]}
         law = derive_time_change_law(make_kernel(spec), [0.8])
-        assert isinstance(law, sampling.InverseSubordinatorLaw)
+        assert isinstance(law, sampling.NumericCDFLaw)
         out = tmp_path / "tc.csv"
         rc = main(["sample", "--dist", "time_change", "--kernel", "conv_multinomial_ml:0.7,0.3,1.0",
                    "--t", "0.8", "--paths", "6", "--seed", "5", "--out", str(out)])

