@@ -504,7 +504,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CRITERION
 
 
-_WORKERS_HELP = "chunks of the path range; they run in sequence, and any value gives the same output"
+_WORKERS_HELP = "accepted for compatibility; changes neither the work nor the output"
 
 
 def build_parser() -> argparse.ArgumentParser:

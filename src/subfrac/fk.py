@@ -85,6 +85,7 @@ _ROLE_STRIDE = 8  # substream ids per evaluation point when paths are independen
 _MAX_FLOW_NODES = 2**20  # flow-map trajectory nodes; bounds the Python RK4 loop
 _FLOW_NODES_PER_UNIT = 512  # flow-map trajectory nodes per unit of driver
 _RSGP_STEPS = 64  # grid steps of the randomly scaled Gaussian paths on [0, t]
+_CHUNK_VALUES = 2**16  # path x grid values per chunk of a point's path range
 
 
 class RsgpScopeError(ValueError):
@@ -489,7 +490,7 @@ def path_values(
 ) -> np.ndarray:
     """Per-path estimator values for paths start .. start + n_paths - 1 at
     one evaluation point (the raw sample the Estimate aggregates); exposed
-    for exact pathwise identities and worker chunking."""
+    for exact pathwise identities, and called by ``solve`` once per chunk."""
     t, x = float(point[0]), float(point[1])
     if t == 0.0:
         return np.full(n_paths, float(problem.u0(x)))
@@ -516,13 +517,14 @@ def solve(
     """Monte Carlo estimates of the solution at every evaluation point.
 
     Evaluation points get independent path sets (substream offsets per
-    point).  ``workers`` is a partition setting, not a degree of
-    parallelism: it splits the path range into that many chunks,
-    run one after another, and the counter-based streams make the result
-    bit-identical for any partition.  (Running the chunks on a thread pool
-    did not shorten the benchmark's Monte Carlo workload on 2 vCPUs and
-    added 10-13 MB of memory.)  For callable potentials a step-doubling
-    diagnostic estimate is attached to each result.
+    point).  Each point's path range runs in chunks of at most
+    _CHUNK_VALUES path x grid values (a path is _RSGP_STEPS wide for the
+    scaled-Gaussian forms, grid_steps + 1 for a callable potential and 1
+    otherwise), so memory stays bounded however many paths are asked for;
+    the counter-based streams make the result bit-identical for any
+    partition.  ``workers`` is accepted (>= 1) and changes neither the work
+    nor the output.  For callable potentials a step-doubling diagnostic
+    estimate is attached to each result.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -531,15 +533,13 @@ def solve(
     prob = replace(problem, law=_time_change_law(problem))
 
     def chunked_values(point, gsteps, base_sub):
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        parts = [
-            path_values(
-                prob, point, int(b - a), seed, gsteps, base_sub, int(a)
-            )
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        return np.concatenate(parts)
+        width = (_RSGP_STEPS if prob.representation != "path" else
+                 gsteps + 1 if isinstance(prob.potential, CallablePotential) else 1)
+        size = max(1, _CHUNK_VALUES // width)
+        return np.concatenate([
+            path_values(prob, point, min(size, n_paths - a), seed, gsteps, base_sub, a)
+            for a in range(0, n_paths, size)
+        ])
 
     out = []
     for idx, point in enumerate(prob.eval_points):

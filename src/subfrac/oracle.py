@@ -271,6 +271,7 @@ class DoubleLaplaceReport:
 _DL_TIME_NODES = 96  # Gauss-Legendre nodes in time
 _DL_TAIL_BOUND = 1e-6  # e^{-sigma t} at the time truncation
 _DL_STEPS_PER_UNIT = 2**10  # first-passage steps per passage scale of level t_max
+_DL_CHUNK, _DL_MAX_CHUNKS = 4096, 16  # first-passage steps per chunk, chunks per path
 
 
 def double_laplace_identity(
@@ -296,9 +297,13 @@ def double_laplace_identity(
         raise ValueError("mc_paths must be >= 1 for a non-identity exponent")
     dt = _passage_scale(h, t_max) / _DL_STEPS_PER_UNIT
     try:
-        passages = first_passage(h, t_nodes, mc_paths, master_seed, dt, chunk=4096, max_chunks=16)
+        passages = first_passage(h, t_nodes, mc_paths, master_seed, dt, chunk=_DL_CHUNK,
+                                 max_chunks=_DL_MAX_CHUNKS)
     except GridTooCoarse:
-        raise RuntimeError("subordinator path did not exceed t_max; raise the budget") from None
+        raise RuntimeError(
+            f"subordinator path did not exceed t_max={t_max:.6g} within {_DL_MAX_CHUNKS} "
+            f"chunks of {_DL_CHUNK} steps of dt={dt:.6g}"
+        ) from None
     mean_w = np.sum(np.exp(-lam * passages), axis=0) / mc_paths
     lhs = float(np.dot(t_weights, np.exp(-sigma * t_nodes) * mean_w))
     # exp tail beyond t_max: bounded by _DL_TAIL_BOUND / sigma, add midpoint value

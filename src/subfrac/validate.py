@@ -66,7 +66,7 @@ U0_STD = GaussianBump(0.0, 1.0)
 class Budget:
     paths: int = 100_000
     seed: int = 20240811
-    workers: int = 1
+    workers: int = 1  # passed to solve, where it changes neither the work nor the output
 
     def __post_init__(self) -> None:
         # the statistical criteria need a sample standard deviation

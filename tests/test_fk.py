@@ -3,6 +3,7 @@ representation equivalence, and the diffusion-with-flow consistency."""
 
 import math
 import time
+import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -49,6 +50,7 @@ from subfrac.sampling import (
     stable_symmetric_from_uniforms,
     time_change_draws,
 )
+from subfrac.validate import _fk_case_a
 
 SEED = 31415
 U0 = GaussianBump(0.0, 1.0)
@@ -524,3 +526,59 @@ class TestBoundedCDFCache:
         assert len(built) == 40
         law.cdf_for_t(times[0])  # evicted: built again
         assert len(built) == 41
+
+
+class TestChunking:
+    """solve splits each point's path range into chunks of at most
+    _CHUNK_VALUES path x grid values; the counter-based streams make any
+    chunking give the same bits."""
+
+    CASES = {
+        "marginal_stable_power_constant": (ggbm_problem(
+            process=ProcessModel(base=BrownianDrift(0.3),
+                                 subordination=BernsteinSpec.stable_power(0.6)),
+            potential=ConstantPotential(-0.2),
+            eval_points=((0.5, 0.0), (1.0, 0.4)),
+        ), 300, {}),
+        "stable_base": (ggbm_problem(
+            process=ProcessModel(base=StableLevy(1.5)), potential=ConstantPotential(-0.1),
+        ), 300, {}),
+        "flow_base": (ggbm_problem(
+            process=ProcessModel(base=DossSussmann(sigma=lambda z: 2.0 + np.sin(z), w=0.2)),
+        ), 300, {}),
+        "callable_potential": (ggbm_problem(
+            potential=CallablePotential(fn=lambda y: -0.5 * np.tanh(y) ** 2, sup_bound=0.0),
+            eval_points=((0.5, 0.0), (1.0, 0.4)),
+        ), 60, {"grid_steps": 16}),
+        "timechanged_bm": (ggbm_problem(representation="timechanged_bm"), 150, {}),
+        "scaled_bm": (ggbm_problem(representation="scaled_bm"), 150, {}),
+        "scaled_fbm": (ggbm_problem(representation="scaled_fbm"), 150, {}),
+        "conv_multinomial_ml": (ggbm_problem(
+            kernel=ConvMultinomialMLKernel(0.62, (0.3,), (0.5,)),
+            eval_points=((0.5, 0.0), (1.5, 2.0)),
+        ), 300, {}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_small_chunks_bit_identical(self, case, monkeypatch):
+        prob, n_paths, kw = self.CASES[case]
+        whole = solve(prob, n_paths, SEED, **kw)
+        monkeypatch.setattr(fk_module, "_CHUNK_VALUES", 97)
+        chunked = solve(prob, n_paths, SEED, **kw)
+        assert [(e.mean, e.stderr, e.grid_diagnostics) for e in chunked] == [
+            (e.mean, e.stderr, e.grid_diagnostics) for e in whole
+        ]
+        if "grid_steps" in kw:
+            assert all(e.grid_diagnostics is not None for e in chunked)
+
+    def test_scaled_fbm_memory_bounded(self):
+        # one pass over all 2e4 paths peaked near 166 MB; 1024-path chunks
+        # keep it near 9 MB
+        prob = replace(_fk_case_a(), representation="scaled_fbm")
+        tracemalloc.start()
+        try:
+            solve(prob, 20_000, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
