@@ -12,7 +12,7 @@ cross-validation of every stochastic estimator.
 Module map:
 
 * ``specfun``  Mittag-Leffler family, Wright density, Appell F3
-* ``kernels``  memory-kernel families, admissibility, series coefficients
+* ``kernels``  memory-kernel families, series coefficients
 * ``phi``      the memory function three ways + Laplace-inversion CDFs
 * ``sampling`` seeded streams; one array sampler per random variable and
                per kind of path (``n_paths=1, start=i`` draws path i)
@@ -48,7 +48,6 @@ from .kernels import (
     TimeStretchedKernel,
     make_kernel,
     phi_coefficients,
-    verify_assumption_k,
 )
 from .phi import (
     ClosedFormPhi,

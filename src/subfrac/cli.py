@@ -37,7 +37,7 @@ from .fk import (
     derive_time_change_law,
     solve,
 )
-from .kernels import FAMILIES, InvalidParameters, NormDivergent, make_kernel
+from .kernels import FAMILIES, InvalidParameters, make_kernel
 from .phi import (
     ClosedFormPhi,
     InversionUnstable,
@@ -79,7 +79,6 @@ _NUMERICAL_ERRORS = (
     TruncationBudgetExceeded,
     NonconvergentRefinement,
     InversionUnstable,
-    NormDivergent,
     NoClosedForm,
     StepCountInsufficient,
     OverflowError,
@@ -482,7 +481,7 @@ def cmd_validate(args) -> int:
         return EXIT_OK
     only = args.only.split(",") if args.only else None
     given = {"paths": args.paths, "seed": args.seed}
-    budget = Budget(workers=args.workers, **{k: v for k, v in given.items() if v is not None})
+    budget = Budget(**{k: v for k, v in given.items() if v is not None})
     results = run_criteria(budget, only)
     rows = []
     for r in results:
@@ -492,7 +491,6 @@ def cmd_validate(args) -> int:
         print(f"     {r.detail}")
         # the CSV carries only the deterministic payload (no wall-clock
         # fields) so identical (seed, paths) runs are byte-identical
-        # regardless of --workers
         rows.append([r.cid, status, r.observed, r.tolerance, r.margin])
     meta = {
         "subfrac_version": __version__,
@@ -502,9 +500,6 @@ def cmd_validate(args) -> int:
     if args.out:
         write_csv(args.out, ["criterion", "status", "observed", "tolerance", "margin"], rows, meta)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CRITERION
-
-
-_WORKERS_HELP = "accepted for compatibility; changes neither the work nor the output"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,7 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; changes neither the work nor the output",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -565,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, help="comma-separated criterion ids")
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)
 

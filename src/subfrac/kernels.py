@@ -1,4 +1,4 @@
-"""Memory-kernel families, admissibility checks and series coefficients.
+"""Memory-kernel families and their series coefficients.
 
 Every kernel k(t, s) supported here factors near its weak singularities as
 
@@ -39,7 +39,6 @@ from .series import CACHE_SIZE, lru_get
 from .specfun import MultinomialMLParams, appell_f3, multinomial_ml
 
 __all__ = [
-    "AdmissibilityReport",
     "ConvMultinomialMLKernel",
     "ConvPowerSumKernel",
     "CustomKernel",
@@ -49,7 +48,6 @@ __all__ = [
     "InvalidParameters",
     "MSMKernel",
     "MemoryKernel",
-    "NormDivergent",
     "SingularPart",
     "SingularPoint",
     "StretchFn",
@@ -57,7 +55,6 @@ __all__ = [
     "CoefficientTables",
     "make_kernel",
     "phi_coefficients",
-    "verify_assumption_k",
 ]
 
 
@@ -67,10 +64,6 @@ class InvalidParameters(ValueError):
 
 class SingularPoint(ValueError):
     """Kernel evaluated at s = 0 or s = t where the family is singular."""
-
-
-class NormDivergent(RuntimeError):
-    """The L^{1+eps} norm estimate does not stabilise under refinement."""
 
 
 @dataclass(frozen=True)
@@ -158,11 +151,6 @@ class MemoryKernel:
 
     def parts(self) -> list[SingularPart]:
         raise NotImplementedError
-
-    def endpoint_exponents(self) -> tuple[float, float]:
-        """(p_zero, p_end) of the dominant singular behaviour."""
-        ps = self.parts()
-        return (min(p.p_zero for p in ps), min(p.p_end for p in ps))
 
     @property
     def is_homogeneous(self) -> bool:
@@ -507,70 +495,6 @@ def make_kernel(spec: dict) -> MemoryKernel:
 
 
 # ---------------------------------------------------------------------------
-# Assumption check: K_T = sup_t t^{alpha* - 1/(1+eps)} ||k(t,.)||_{L^{1+eps}}
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    K_T: float
-    refinement_drift: float  # relative change of K_T from 48 to 96 quadrature nodes
-
-    def __post_init__(self) -> None:
-        if self.K_T < 0:
-            raise ValueError("K_T must be nonnegative")
-
-
-def _lp_norm_power(kernel: MemoryKernel, t: float, p: float, n_nodes: int) -> float:
-    """int_0^t |k(t,s)|^p ds via Gauss-Jacobi matched to |k|^p's endpoints."""
-    p0, p1 = kernel.endpoint_exponents()
-    a_j, b_j = p1 * p, p0 * p
-    if a_j <= -1.0 or b_j <= -1.0:
-        raise NormDivergent(
-            f"|k|^{p:g} endpoint exponent <= -1; the L^{p:g} norm diverges"
-        )
-    x, w = roots_jacobi(n_nodes, a_j, b_j)
-    u = 0.5 * (x + 1.0)
-    wu = w * 0.5 ** (a_j + b_j + 1.0)
-    s = t * u
-    vals = np.abs(kernel.eval(t, s))
-    core = vals / (u**p0 * (1.0 - u) ** p1)  # smooth factor of |k|, carries t powers
-    return t * float(np.dot(wu, core**p))
-
-
-def verify_assumption_k(
-    kernel: MemoryKernel,
-    T: float,
-    epsilon: float,
-    alpha_star: float,
-    grid_size: int = 40,
-) -> AdmissibilityReport:
-    """Numerically estimate K_T on a logarithmic t grid.
-
-    Raises NormDivergent when the norm integral is structurally divergent
-    for this (epsilon, alpha_star) or fails to stabilise under quadrature
-    refinement.
-    """
-    if not (T > 0 and epsilon > 0 and 0.0 <= alpha_star < 1.0):
-        raise ValueError("need T > 0, epsilon > 0, alpha_star in [0, 1)")
-    p = 1.0 + epsilon
-    tgrid = np.geomspace(T * 1e-4, T, grid_size)
-    sups = []
-    for n_nodes in (48, 96):
-        vals = []
-        for t in tgrid:
-            norm = _lp_norm_power(kernel, t, p, n_nodes) ** (1.0 / p)
-            vals.append(t ** (alpha_star - 1.0 / p) * norm)
-        sups.append(max(vals))
-    drift = abs(sups[1] - sups[0]) / max(sups[1], 1e-300)
-    if not math.isfinite(sups[1]) or drift > 1e-3:
-        raise NormDivergent(
-            f"K_T estimate not stabilising (drift {drift:.2e}); "
-            "the (epsilon, alpha_star) pair looks inadmissible"
-        )
-    return AdmissibilityReport(K_T=sups[1], refinement_drift=drift)
-
-
-# ---------------------------------------------------------------------------
 # coefficient recursion c_n(t) = int_0^t k(t,s) c_{n-1}(s) ds
 # ---------------------------------------------------------------------------
 
@@ -579,6 +503,8 @@ def verify_assumption_k(
 # each, and a 256-step solve peaks near 0.3 MB (0.6 MB at 2^12 pairs, no
 # faster)
 _ROW_BLOCK = 2**11
+_GRID_SIZE = 1200  # table times, graded quadratically toward t = 0
+_QUAD_NODES = 96  # Gauss-Jacobi nodes per part
 
 
 class CoefficientTables:
@@ -595,22 +521,13 @@ class CoefficientTables:
     so each is evaluated once per table.
     """
 
-    def __init__(
-        self,
-        kernel: MemoryKernel,
-        horizon: float,
-        n_max: int,
-        grid_size: int = 1200,
-        quad_nodes: int = 96,
-    ):
+    def __init__(self, kernel: MemoryKernel, horizon: float, n_max: int):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         self.kernel = kernel
         self.horizon = float(horizon)
         self.n_max = n_max
-        self.grid_size = grid_size
-        self.quad_nodes = quad_nodes
-        self._master = horizon * (np.arange(1, grid_size + 1) / grid_size) ** 2.0
+        self._master = horizon * (np.arange(1, _GRID_SIZE + 1) / _GRID_SIZE) ** 2.0
         self._log_master = np.log(self._master)
         # int_0^t m(t,s)(t-s)^{p1} c(s) ds in the variable u = (s/t) = v^2:
         #   = t^{p1+1} * 2 int_0^1 v^{2 p0 + 1} (1-v)^{p1}
@@ -621,7 +538,7 @@ class CoefficientTables:
         self._rules = []
         for part in kernel.parts():
             bv = 2.0 * part.p_zero + 1.0
-            x, w = roots_jacobi(quad_nodes, part.p_end, bv)
+            x, w = roots_jacobi(_QUAD_NODES, part.p_end, bv)
             v = 0.5 * (x + 1.0)
             wu = (
                 2.0
@@ -676,7 +593,7 @@ class CoefficientTables:
         """Per part, its regular factor on each block of grid rows against
         the quadrature nodes (at most _ROW_BLOCK elements per block); no
         level depends on them."""
-        rows = max(1, _ROW_BLOCK // self.quad_nodes)
+        rows = max(1, _ROW_BLOCK // _QUAD_NODES)
         t = self._master[:, None]
         return [
             [part.regular(t[i0 : i0 + rows], t[i0 : i0 + rows] * u) for i0 in range(0, t.size, rows)]
@@ -689,7 +606,7 @@ class CoefficientTables:
         row's value has the bits of a one-time evaluation."""
         tvals = self._master
         out = np.zeros_like(tvals)
-        rows = max(1, _ROW_BLOCK // self.quad_nodes)
+        rows = max(1, _ROW_BLOCK // _QUAD_NODES)
         for (part, u, wu), blocks in zip(self._rules, regular):
             scale = [t ** (part.p_end + 1.0) for t in tvals]
             for i0, block in zip(range(0, tvals.size, rows), blocks):
@@ -719,19 +636,12 @@ _COEFF_CACHE: OrderedDict = OrderedDict()
 _COEFF_CACHE_SIZE = 11
 
 
-def coefficient_tables(
-    kernel: MemoryKernel,
-    horizon: float,
-    n_max: int,
-    grid_size: int = 1200,
-    quad_nodes: int = 96,
-) -> CoefficientTables:
+def coefficient_tables(kernel: MemoryKernel, horizon: float, n_max: int) -> CoefficientTables:
     """Cached CoefficientTables; kernels are frozen dataclasses, so keying
-    by the instance plus build parameters is safe."""
-    key = (kernel, round(horizon, 12), n_max, grid_size, quad_nodes)
+    by the instance, horizon and n_max is safe."""
+    key = (kernel, round(horizon, 12), n_max)
     return lru_get(
-        _COEFF_CACHE, key, lambda: CoefficientTables(kernel, horizon, n_max, grid_size, quad_nodes),
-        _COEFF_CACHE_SIZE,
+        _COEFF_CACHE, key, lambda: CoefficientTables(kernel, horizon, n_max), _COEFF_CACHE_SIZE
     )
 
 

@@ -150,18 +150,14 @@ def spectral_solution(
     x: float,
     grid: SpectralGrid = SpectralGrid(),
     gamma: float = 1.0,
-    w: float = 0.0,
-    c: float = 0.0,
     phi_evaluator=None,
 ) -> float:
     """u(t, x) = (1/2 pi) int e^{i x xi} Phi(t, symbol(xi)) hat-u0(xi) d xi.
 
     symbol: 'laplacian_half'  -> -xi^2/2
             'frac_laplacian'  -> -(xi^2/2)^gamma
-            'laplacian_drift_potential' -> handled through the exact
-            semigroup representation (drift and constant potential shift
-            the Gaussian factor; the memory function stays on the real
-            line where its complete monotonicity is validated).
+
+    A drift or a constant potential is served by ``semigroup_quadrature``.
 
     Phi on the whole frequency grid comes from the evaluator's
     ``values(t, lams)`` when it has one (for the ggbm and fractional-power
@@ -169,10 +165,6 @@ def spectral_solution(
     ``value(t, lam)`` call per node.  The integral over xi is the
     trapezoid rule on ``grid``.
     """
-    if symbol == "laplacian_drift_potential":
-        return semigroup_quadrature(
-            kernel, u0, BrownianDrift(w), t, x, potential_c=c
-        )
     if symbol not in ("laplacian_half", "frac_laplacian"):
         raise ValueError(f"unknown symbol {symbol!r}")
     if t == 0.0:
@@ -201,11 +193,13 @@ def spectral_solution(
 # classical L1 finite-difference scheme for the power kernel
 # ---------------------------------------------------------------------------
 
+_L1_HALF_WIDTH = 12.0  # spatial truncation of the L1 scheme
+
+
 def caputo_l1(
     beta: float,
     u0,
     t: float,
-    half_width: float = 12.0,
     n_space: int = 1201,
     n_time: int = 600,
     source=None,
@@ -214,7 +208,8 @@ def caputo_l1(
     power-kernel derivative of order beta by the L1 scheme on a time mesh
     graded as t (n / n_time)^{(2 - beta)/beta}, the standard grading for
     the initial layer, second-order central differences in space,
-    Dirichlet-zero truncation at +-half_width.
+    Dirichlet-zero truncation at |x| = _L1_HALF_WIDTH (12); u0 must have
+    decayed below 1e-10 there.
 
     Returns (x_grid, u_values_at_t).  ``source(t, x)`` adds a forcing term
     (used by the manufactured-solution convergence test).
@@ -222,7 +217,7 @@ def caputo_l1(
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     grading = (2.0 - beta) / beta
-    xg = np.linspace(-half_width, half_width, n_space)
+    xg = np.linspace(-_L1_HALF_WIDTH, _L1_HALF_WIDTH, n_space)
     u_edge = max(abs(float(u0(xg[0]))), abs(float(u0(xg[-1]))))
     if u_edge > 1e-10:
         raise ValueError("u0 has not decayed below 1e-10 at the truncation boundary")

@@ -93,8 +93,9 @@ class GridTooCoarse(RuntimeError):
 
 
 class InvalidHurst(ValueError):
-    """Hurst parameter outside (0, 1); the scaled-fBM representation has
-    H = theta/(2 gamma)."""
+    """Hurst parameter outside (0, 1), or one whose fractional Gaussian
+    noise has no nonnegative circulant embedding on the grid; the
+    scaled-fBM representation has H = theta/(2 gamma)."""
 
 
 def _check_stream(master_seed: int, stream_id: int) -> None:
@@ -517,12 +518,12 @@ class PathGrid:
 
 
 def _fgn_eigenvalues(H: float, n: int) -> np.ndarray:
-    i = np.arange(n)
-    rho = 0.5 * (
-        np.abs(i + 1.0) ** (2 * H) + np.abs(i - 1.0) ** (2 * H)
-    ) - np.abs(i) ** (2 * H)
-    c = np.concatenate([rho, [0.0], rho[1:][::-1]])
-    return np.fft.fft(c).real
+    """The n + 1 distinct eigenvalues of the minimal circulant embedding
+    (rho_0 .. rho_n, rho_{n-1} .. rho_1) of the unit-step fractional
+    Gaussian noise covariance rho_k = (|k+1|^{2H} + |k-1|^{2H}) / 2 - k^{2H}."""
+    k = np.arange(n + 1.0)
+    rho = 0.5 * ((k + 1.0) ** (2 * H) + np.abs(k - 1.0) ** (2 * H)) - k ** (2 * H)
+    return np.fft.rfft(np.concatenate([rho, rho[-2:0:-1]])).real
 
 
 def fbm_paths_batch(
@@ -533,45 +534,35 @@ def fbm_paths_batch(
     substream: int = SUB_GAUSSIAN,
     start: int = 0,
 ) -> np.ndarray:
-    """(n_paths, n_steps+1) exact-covariance fractional Brownian paths.
+    """(n_paths, n_steps+1) exact-covariance fractional Brownian paths by
+    circulant embedding (Davies & Harte 1987; Wood & Chan 1994).
 
-    Circulant embedding (Davies-Harte) is used when the embedding is
-    nonnegative; otherwise a dense Cholesky factor of the increment
-    covariance (n_steps <= 2048) takes over.  Either branch consumes the
-    same fixed uniform layout per path.
+    The minimal embedding of the n-step noise covariance has order 2n; its
+    eigenvalues are nonnegative for every H in (0, 1) on the grids tried
+    (up to 2^16 steps), and a grid where they are not raises InvalidHurst.
+    Path i takes the 2n normals of its stream: z_0 and z_n for the real
+    end frequencies, z_k + i z_{n+k} for frequency k in 1 .. n-1, and one
+    inverse real FFT of the half spectrum gives its noise.
     """
     if not 0.0 < H < 1.0:
         raise InvalidHurst(f"Hurst parameter H = {H:g} must lie in (0, 1)")
     n = grid.n_steps
-    dt = grid.horizon / n
-    u = path_uniforms(master_seed, substream, n_paths, 2 * n, start)
-    z = ndtri(_clip_open(u))
     g = _fgn_eigenvalues(H, n)
+    if np.min(g) < -1e-9 * np.max(g):
+        raise InvalidHurst(
+            f"the circulant embedding of fractional Gaussian noise at H = {H:g} "
+            f"on {n} steps has a negative eigenvalue ({np.min(g):.3g})"
+        )
+    amp = np.sqrt(np.maximum(g, 0.0))
+    amp[1:n] *= math.sqrt(0.5)
+    z = ndtri(_clip_open(path_uniforms(master_seed, substream, n_paths, 2 * n, start)))
+    half = np.zeros((n_paths, n + 1), dtype=complex)
+    half.real = z[:, : n + 1]
+    half.imag[:, 1:n] = z[:, n + 1 :]
+    fgn = np.fft.irfft(amp * half, 2 * n, axis=1, norm="ortho")[:, :n]
     paths = np.empty((n_paths, n + 1))
     paths[:, 0] = 0.0
-    if np.min(g) >= -1e-9 * np.max(g):
-        g = np.maximum(g, 0.0)
-        w = np.empty((n_paths, 2 * n), dtype=complex)
-        w[:, 0] = z[:, 0]
-        w[:, n] = z[:, n]
-        w[:, 1:n] = (z[:, 1:n] + 1j * z[:, n + 1 :]) / math.sqrt(2.0)
-        w[:, n + 1 :] = np.conj(w[:, 1:n][:, ::-1])
-        fgn = math.sqrt(2 * n) * np.fft.ifft(np.sqrt(g)[None, :] * w, axis=1).real[:, :n]
-    else:
-        if n > 2048:
-            raise InvalidHurst(
-                "circulant embedding failed and the grid is too large for "
-                "the Cholesky fallback"
-            )
-        i, j = np.indices((n, n))
-        lag = np.abs(i - j)
-        cov = 0.5 * (
-            (lag + 1.0) ** (2 * H) + np.abs(lag - 1.0) ** (2 * H)
-        ) - lag ** (2.0 * H)
-        L = np.linalg.cholesky(cov + 1e-14 * np.eye(n))
-        # one product per path: a batched product rounds by batch size
-        fgn = np.concatenate([row @ L.T for row in z[:, None, :n]])
-    paths[:, 1:] = np.cumsum(fgn, axis=1) * dt**H
+    paths[:, 1:] = np.cumsum(fgn, axis=1) * (grid.horizon / n) ** H
     return paths
 
 

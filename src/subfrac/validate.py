@@ -66,7 +66,6 @@ U0_STD = GaussianBump(0.0, 1.0)
 class Budget:
     paths: int = 100_000
     seed: int = 20240811
-    workers: int = 1  # passed to solve, where it changes neither the work nor the output
 
     def __post_init__(self) -> None:
         # the statistical criteria need a sample standard deviation
@@ -271,7 +270,7 @@ def criterion_fk_vs_oracles(budget: Budget) -> CriterionResult:
     details = []
     # (a) homogeneous kernel, Brownian path, no potential
     prob_a = _fk_case_a()
-    ests = solve(prob_a, budget.paths, budget.seed, workers=budget.workers)
+    ests = solve(prob_a, budget.paths, budget.seed)
     for est, (t, x) in zip(ests, prob_a.eval_points):
         oracle = semigroup_quadrature(GGBM_STD, U0_STD, BrownianDrift(0.0), t, x)
         worst_sigma = max(worst_sigma, abs(est.mean - oracle) / est.stderr)
@@ -288,7 +287,7 @@ def criterion_fk_vs_oracles(budget: Budget) -> CriterionResult:
         u0=U0_STD,
         eval_points=((0.5, 0.0), (1.0, 0.0), (1.0, 0.5)),
     )
-    ests = solve(prob_b, budget.paths, budget.seed, workers=budget.workers)
+    ests = solve(prob_b, budget.paths, budget.seed)
     for est, (t, x) in zip(ests, prob_b.eval_points):
         oracle = spectral_solution(kern_b, U0_STD, "frac_laplacian", t, x, gamma=0.5)
         worst_sigma = max(worst_sigma, abs(est.mean - oracle) / est.stderr)
@@ -296,7 +295,7 @@ def criterion_fk_vs_oracles(budget: Budget) -> CriterionResult:
     details.append("subordinated case checked against the Fourier-multiplier oracle")
     # (c) constant potential variant of (a)
     prob_c = replace(prob_a, potential=ConstantPotential(-0.2))
-    ests = solve(prob_c, budget.paths, budget.seed, workers=budget.workers)
+    ests = solve(prob_c, budget.paths, budget.seed)
     for est, (t, x) in zip(ests, prob_c.eval_points):
         oracle = semigroup_quadrature(
             GGBM_STD, U0_STD, BrownianDrift(0.0), t, x, potential_c=-0.2
@@ -321,10 +320,7 @@ def criterion_rsgp_equivalence(budget: Budget) -> CriterionResult:
     prob = _fk_case_a()
     reps = ("timechanged_bm", "scaled_bm", "scaled_fbm")
     ests = {
-        rep: solve(
-            replace(prob, representation=rep), budget.paths, budget.seed + i,
-            workers=budget.workers,
-        )
+        rep: solve(replace(prob, representation=rep), budget.paths, budget.seed + i)
         for i, rep in enumerate(reps)
     }
     worst = 0.0
@@ -397,7 +393,7 @@ def criterion_caputo_cross_check(budget: Budget) -> CriterionResult:
         u0=U0_STD,
         eval_points=((1.0, 0.0),),
     )
-    mc = solve(prob, budget.paths, budget.seed, workers=budget.workers)[0]
+    mc = solve(prob, budget.paths, budget.seed)[0]
     pairs = {
         "fd-spectral": (abs(fd - sp), max(0.02 * abs(sp), 0.0)),
         "fd-mc": (abs(fd - mc.mean), max(0.02 * abs(fd), 3.0 * mc.stderr)),

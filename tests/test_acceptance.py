@@ -15,7 +15,7 @@ import pytest
 
 from subfrac.validate import Budget, list_criteria, run_one
 
-BUDGET = Budget(paths=100_000, seed=20240811, workers=1)
+BUDGET = Budget(paths=100_000, seed=20240811)
 REPO = Path(__file__).resolve().parents[1]
 PROBLEM = REPO / "demos" / "problems" / "ggbm_heat.json"
 
@@ -52,19 +52,18 @@ def test_reproducibility_across_worker_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_validate_csv_reproducible_across_workers(tmp_path):
-    """Two runs of ``subfrac validate`` with identical seeds and different
-    --workers emit byte-identical CSVs (restricted to two fast criteria to
-    keep the double run reasonable)."""
+def test_validate_csv_reproducible(tmp_path):
+    """Two runs of ``subfrac validate`` with identical seeds emit
+    byte-identical CSVs (restricted to two fast criteria to keep the double
+    run reasonable)."""
     outs = []
-    for i, workers in enumerate((1, 3)):
+    for i in range(2):
         out = tmp_path / f"val{i}.csv"
         proc = subprocess.run(
             [
                 sys.executable, "-m", "subfrac.cli", "validate",
                 "--only", "homogeneous-scaling,mixing-laws",
                 "--paths", "20000",
-                "--workers", str(workers),
                 "--out", str(out),
             ],
             capture_output=True,
@@ -72,5 +71,5 @@ def test_validate_csv_reproducible_across_workers(tmp_path):
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out.read_bytes())
-    print("\nPASS reproducibility: validate CSVs byte-identical for workers 1 vs 3")
+    print("\nPASS reproducibility: validate CSVs byte-identical over two runs")
     assert outs[0] == outs[1]

@@ -257,6 +257,11 @@ class TestOtherCommands:
         write_csv(str(tmp_path / "rows.csv"), header, rows, meta)
         assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_sample_fbm_high_hurst_long_grid(self, tmp_path):
+        out = tmp_path / "fbm.csv"
+        argv = ["sample", "--dist", "fbm", "--hurst", "0.97", "--grid-steps", "4096", "--paths", "2"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+
     def test_sample_time_change_inverse_subordinator(self, tmp_path):
         spec = {"family": "conv_multinomial_ml", "beta": 0.7, "betas": [0.3], "bs": [1.0]}
         law = derive_time_change_law(make_kernel(spec), [0.8])

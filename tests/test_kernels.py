@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,13 +16,11 @@ from subfrac.kernels import (
     GGBMKernel,
     InvalidParameters,
     MSMKernel,
-    NormDivergent,
     StretchFn,
     TimeStretchedKernel,
     coefficient_tables,
     make_kernel,
     phi_coefficients,
-    verify_assumption_k,
 )
 
 
@@ -106,44 +105,6 @@ class TestPointwise:
         assert k.eval(1.0, 0.6) == pytest.approx(expect, rel=1e-13)
 
 
-class TestAdmissibility:
-    def test_degenerate_kernel_exact(self):
-        # k == 1: K_T = sup t^{alpha* - 1/p} t^{1/p} = T^{alpha*}
-        k = FractionalPowerKernel(1.0)
-        rep = verify_assumption_k(k, T=1.0, epsilon=0.5, alpha_star=0.3)
-        assert rep.K_T == pytest.approx(1.0, rel=1e-10)
-        rep = verify_assumption_k(k, T=2.0, epsilon=0.5, alpha_star=0.3)
-        assert rep.K_T == pytest.approx(2.0**0.3, rel=1e-10)
-
-    def test_power_kernel_against_closed_form(self):
-        beta, eps, astar, T = 0.5, 0.5, 0.0, 1.0
-        p = 1.0 + eps
-        expo = (beta - 1.0) * p + 1.0
-
-        def norm(t):
-            return (t**expo / (math.gamma(beta) ** p * expo)) ** (1.0 / p)
-
-        oracle = max(
-            t ** (astar - 1.0 / p) * norm(t) for t in np.geomspace(1e-4, T, 40)
-        )
-        rep = verify_assumption_k(FractionalPowerKernel(beta), T, eps, astar)
-        assert rep.K_T == pytest.approx(oracle, rel=1e-8)
-
-    def test_ggbm_finite_and_converged(self):
-        rep = verify_assumption_k(GGBMKernel(0.8, 0.6), T=1.0, epsilon=0.5, alpha_star=0.2)
-        assert math.isfinite(rep.K_T) and rep.K_T > 0
-        assert rep.refinement_drift < 1e-6
-
-    def test_divergent_pair_detected(self):
-        # (beta-1)(1+eps) <= -1 makes the norm integral diverge
-        with pytest.raises(NormDivergent):
-            verify_assumption_k(FractionalPowerKernel(0.5), T=1.0, epsilon=1.5, alpha_star=0.0)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            verify_assumption_k(FractionalPowerKernel(0.5), T=1.0, epsilon=0.5, alpha_star=1.0)
-
-
 class TestCoefficients:
     def test_c0_is_one_everywhere(self):
         for fam in (GGBMKernel(0.8, 0.6), ConvPowerSumKernel(beta=0.5, betas=(0.3,), bs=(0.5,))):
@@ -186,11 +147,13 @@ class TestCoefficients:
             for t in (0.5, 1.0, 2.0):
                 assert (phi_coefficients(k, t, 8) >= 0.0).all()
 
-    def test_refinement_drift_below_tolerance(self):
-        # values from the two finest quadrature levels agree to 1e-6
+    def test_refinement_drift_below_tolerance(self, monkeypatch):
+        # values at the table's 96 quadrature nodes and at half as many agree to 1e-6
         k = GGBMKernel(0.8, 0.6)
-        fine = coefficient_tables(k, 2.0, 12, quad_nodes=96)
-        coarse = coefficient_tables(k, 2.0, 12, quad_nodes=48)
+        fine = coefficient_tables(k, 2.0, 12)
+        monkeypatch.setattr(kernels_module, "_QUAD_NODES", 48)
+        monkeypatch.setattr(kernels_module, "_COEFF_CACHE", OrderedDict())
+        coarse = coefficient_tables(k, 2.0, 12)
         for t in (0.25, 1.0, 2.0):
             assert np.max(np.abs(fine.values(t) - coarse.values(t))) < 1e-6
 
@@ -205,18 +168,21 @@ class TestBoundedCaches:
     @pytest.fixture(autouse=True)
     def keep_warm_entries(self):
         # the 40 kernels would evict what earlier tests cached; put it back
-        saved = [(c, c.copy()) for c in (kernels_module._COEFF_CACHE, phi_module._HP_CACHE)]
+        saved = phi_module._HP_CACHE.copy()
         yield
-        for cache, entries in saved:
-            cache.clear()
-            cache.update(entries)
+        phi_module._HP_CACHE.clear()
+        phi_module._HP_CACHE.update(saved)
 
-    def test_coefficient_tables(self):
+    def test_coefficient_tables(self, monkeypatch):
+        # small tables, kept out of the cache the other tests share
+        monkeypatch.setattr(kernels_module, "_GRID_SIZE", 16)
+        monkeypatch.setattr(kernels_module, "_QUAD_NODES", 8)
+        monkeypatch.setattr(kernels_module, "_COEFF_CACHE", OrderedDict())
         for k in self.KERNELS:
-            coefficient_tables(k, 1.0, 2, grid_size=16, quad_nodes=8)
+            coefficient_tables(k, 1.0, 2)
         assert len(kernels_module._COEFF_CACHE) == kernels_module._COEFF_CACHE_SIZE
-        last = coefficient_tables(self.KERNELS[-1], 1.0, 2, grid_size=16, quad_nodes=8)
-        assert coefficient_tables(self.KERNELS[-1], 1.0, 2, grid_size=16, quad_nodes=8) is last
+        last = coefficient_tables(self.KERNELS[-1], 1.0, 2)
+        assert coefficient_tables(self.KERNELS[-1], 1.0, 2) is last
 
     def test_moment_recursion(self):
         for k in self.KERNELS:
@@ -302,8 +268,9 @@ class TestCoefficientRowBlocks:
         ],
         ids=["ggbm", "msm", "conv_power_sum", "custom", "time_stretched"],
     )
-    def test_level_bit_equal_to_per_time_loop(self, kernel):
-        tab = kernels_module.CoefficientTables(kernel, 1.0, 3, grid_size=300)
+    def test_level_bit_equal_to_per_time_loop(self, kernel, monkeypatch):
+        monkeypatch.setattr(kernels_module, "_GRID_SIZE", 300)
+        tab = kernels_module.CoefficientTables(kernel, 1.0, 3)
         for n in (1, 3):
             assert np.array_equal(tab._level_values(n, tab._regular_blocks()), level_per_time(tab, n))
 
@@ -318,7 +285,7 @@ class TestCoefficientRowBlocks:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_regular_factors_evaluated_once_per_table(self):
+    def test_regular_factors_evaluated_once_per_table(self, monkeypatch):
         # a custom kernel's regular factor calls its function once per grid
         # row; the table makes those calls once, whatever its depth
         calls = []
@@ -327,8 +294,10 @@ class TestCoefficientRowBlocks:
             calls.append(t)
             return self.GGBM.eval(t, s)
 
+        monkeypatch.setattr(kernels_module, "_GRID_SIZE", 50)
+        monkeypatch.setattr(kernels_module, "_QUAD_NODES", 16)
         for n_max in (2, 4):
             calls.clear()
             kernel = CustomKernel(fn=fn, theta_value=0.8, p_zero=0.8 / 0.6 - 1.0, p_end=-0.4)
-            kernels_module.CoefficientTables(kernel, 1.0, n_max, grid_size=50, quad_nodes=16)
+            kernels_module.CoefficientTables(kernel, 1.0, n_max)
             assert len(calls) == 50

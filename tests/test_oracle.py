@@ -91,14 +91,6 @@ class TestSpectralSolution:
         v2 = spectral_solution(k, U0, "laplacian_half", 1.0, -0.5)
         assert v1 == pytest.approx(v2, abs=1e-10)
 
-    def test_drift_potential_symbol_uses_exact_semigroup(self):
-        k = GGBMKernel(0.8, 0.6)
-        v = spectral_solution(
-            k, U0, "laplacian_drift_potential", 1.0, 0.0, w=0.5, c=-0.2
-        )
-        ref = semigroup_quadrature(k, U0, BrownianDrift(0.5), 1.0, 0.0, potential_c=-0.2)
-        assert v == pytest.approx(ref, rel=1e-12)
-
     @pytest.mark.parametrize("kernel", [GGBMKernel(0.8, 0.6), FractionalPowerKernel(0.37)])
     def test_batch_matches_scalar_loop(self, kernel):
         # an evaluator with only value() takes the per-node loop
@@ -170,7 +162,7 @@ class TestCaputoL1:
 
     def test_boundary_decay_enforced(self):
         with pytest.raises(ValueError):
-            caputo_l1(0.5, GaussianBump(0.0, 8.0), 1.0, half_width=6.0)
+            caputo_l1(0.5, GaussianBump(0.0, 8.0), 1.0)
 
     def test_beta_domain(self):
         with pytest.raises(ValueError):

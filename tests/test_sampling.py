@@ -493,16 +493,23 @@ class TestFBM:
         with pytest.raises(InvalidHurst):
             fbm_paths_batch(1.2, PathGrid(1.0, 8), SEED, 1)
 
-    def test_cholesky_fallback(self, monkeypatch):
-        H, grid = 0.7, PathGrid(1.0, 16)
-        direct = fbm_paths_batch(H, grid, SEED, 2000)
-        monkeypatch.setattr(
-            sampling, "_fgn_eigenvalues", lambda h, n: -np.ones(2 * n)
-        )
-        fallback = fbm_paths_batch(H, grid, SEED, 2000)
-        # same covariance either way (compare second moments loosely)
-        v1, v2 = np.var(direct[:, -1]), np.var(fallback[:, -1])
-        assert v2 == pytest.approx(v1, rel=0.1)
+    def test_embedding_nonnegative(self):
+        # the minimal circulant embedding (rho_0 .. rho_n, rho_{n-1} .. rho_1)
+        # is nonnegative over the H grid at every grid size tried
+        for n in (1, 2, 16, 64, 2049, 4096):
+            for H in np.linspace(0.005, 0.995, 199):
+                g = sampling._fgn_eigenvalues(H, n)
+                assert g.min() >= -1e-9 * g.max(), (H, n)
+
+    def test_covariance_at_high_hurst(self):
+        H, n = 0.95, 64
+        paths = fbm_paths_batch(H, PathGrid(1.0, n), SEED, 20_000)
+        for j in (16, 64):  # E[B_1 B_s] at s = 1/4 and 1
+            s = j / n
+            target = 0.5 * (1.0 + s ** (2 * H) - (1.0 - s) ** (2 * H))
+            assert abs(mc_dev(paths[:, -1] * paths[:, j], target)) < 4.0
+        noise = np.diff(paths, axis=1) * n**H  # unit-step noise, lag-1 covariance
+        assert abs(mc_dev(noise[:, 0] * noise[:, 1], 2.0 ** (2 * H - 1) - 1.0)) < 4.0
 
 
 class TestRSGP:
